@@ -1,0 +1,11 @@
+"""Lets ``python3 -m pytest bench`` import the benchmark and the program."""
+
+import os
+import sys
+from pathlib import Path
+
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+
+_BENCH = Path(__file__).resolve().parent
+sys.path[:0] = [str(_BENCH), str(_BENCH.parent / "src")]
