@@ -20,6 +20,7 @@ import csv
 import json
 import sys
 import time
+from contextlib import contextmanager
 from pathlib import Path
 
 import click
@@ -80,6 +81,15 @@ def _fail(message: str) -> None:
     sys.exit(1)
 
 
+@contextmanager
+def _usage_errors():
+    """A config that rejects a flag value is a usage error: exit 2."""
+    try:
+        yield
+    except ValueError as exc:
+        raise click.UsageError(str(exc)) from None
+
+
 def _load_circuit(path) -> circ.Circuit:
     try:
         return circ.load(path)
@@ -134,10 +144,11 @@ def cmd_approx_gate(gate, angle, angle_grid, iters, top_k, metric, seed, restart
     if restarts < 1:
         raise click.UsageError("--restarts must be >= 1")
     seed = _resolve_seed(seed)
-    params = GreedyParams(
-        iterations=iters, top_k=top_k, metric=_METRICS[metric], seed=seed,
-        restarts=restarts,
-    )
+    with _usage_errors():
+        params = GreedyParams(
+            iterations=iters, top_k=top_k, metric=_METRICS[metric], seed=seed,
+            restarts=restarts,
+        )
     kind = GateKind(gate)
     if angle_grid is not None:
         start, stop, step = angle_grid
@@ -222,12 +233,13 @@ def _greedy_flags(func):
 def cmd_optimize(in_path, tolerance, mode, iters, top_k, metric, seed, out_path, report_path, jobs):
     """Replace parametric gates whose approximation beats the tolerance."""
     seed = _resolve_seed(seed)
+    with _usage_errors():
+        cfg = OptimizeConfig(
+            tolerance=tolerance,
+            greedy=GreedyParams(iters, top_k, _METRICS[metric], seed),
+            mode=_MODES[mode],
+        )
     c = _load_circuit(in_path)
-    cfg = OptimizeConfig(
-        tolerance=tolerance,
-        greedy=GreedyParams(iters, top_k, _METRICS[metric], seed),
-        mode=_MODES[mode],
-    )
     try:
         new_c, report = optimize(c, cfg, jobs=jobs)
     except ValueError as exc:
@@ -280,12 +292,13 @@ def cmd_sweep(in_path, tolerances, mode, iters, top_k, metric, seed, dataset, da
         raise click.UsageError(f"bad --tolerances value {tolerances!r}")
     if not tols:
         raise click.UsageError("--tolerances is empty")
+    with _usage_errors():
+        cfg = OptimizeConfig(
+            tolerance=tols[0],
+            greedy=GreedyParams(iters, top_k, _METRICS[metric], seed),
+            mode=_MODES[mode],
+        )
     c = _load_circuit(in_path)
-    cfg = OptimizeConfig(
-        tolerance=tols[0],
-        greedy=GreedyParams(iters, top_k, _METRICS[metric], seed),
-        mode=_MODES[mode],
-    )
     evaluate = None
     if dataset is not None:
         if not sidecar_path(in_path).exists():
@@ -333,13 +346,14 @@ def cmd_sweep(in_path, tolerances, mode, iters, top_k, metric, seed, dataset, da
 def cmd_train(dataset, data_path, layer_kind, layers, qubits, epochs, lr, batch_size, seed, out_path):
     """Train a fresh layered model; write circuit + sidecar + history."""
     seed = _resolve_seed(seed)
-    ds = _load_dataset(dataset, data_path, seed)
-    try:
+    with _usage_errors():
         spec = qnn.LayerSpec(_LAYER_KINDS[layer_kind], layers, qubits)
-        model = qnn.build_model(spec, ds, seed=seed)
         cfg = qnn.TrainConfig(
             epochs=epochs, learning_rate=lr, batch_size=batch_size, seed=seed
         )
+    ds = _load_dataset(dataset, data_path, seed)
+    try:
+        model = qnn.build_model(spec, ds, seed=seed)
         model, history = qnn.train(model, ds, cfg)
     except ValueError as exc:
         _fail(str(exc))
@@ -373,11 +387,12 @@ def cmd_train(dataset, data_path, layer_kind, layers, qubits, epochs, lr, batch_
 def cmd_retrain(model_path, dataset, data_path, epochs, lr, batch_size, seed, out_path):
     """Re-train the surviving parameters of an optimized model."""
     seed = _resolve_seed(seed)
+    with _usage_errors():
+        cfg = qnn.TrainConfig(
+            epochs=epochs, learning_rate=lr, batch_size=batch_size, seed=seed
+        )
     model = _load_model(model_path)
     ds = _load_dataset(dataset or model.dataset_name, data_path, model.split_seed)
-    cfg = qnn.TrainConfig(
-        epochs=epochs, learning_rate=lr, batch_size=batch_size, seed=seed
-    )
     model, history = qnn.retrain(model, ds, cfg)
     for warning in history.warnings:
         click.echo(f"warning: {warning}", err=True)

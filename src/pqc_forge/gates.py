@@ -139,19 +139,6 @@ def unitary(kind: GateKind, angles: tuple[float, ...] = ()) -> np.ndarray:
     return rz(omega) @ ry(theta) @ rz(phi)
 
 
-def sequence_unitary(seq) -> np.ndarray:
-    """Product unitary of single-qubit gates listed in circuit order.
-
-    Items are either a bare ``GateKind`` or a ``(GateKind, angles)`` pair.
-    The first item acts first, so it sits rightmost in the product.
-    """
-    u = np.eye(2, dtype=complex)
-    for item in seq:
-        kind, angles = item if isinstance(item, tuple) else (item, ())
-        u = unitary(kind, tuple(angles)) @ u
-    return u
-
-
 def _bit(index: int, q: int, n: int) -> int:
     return (index >> (n - 1 - q)) & 1
 

@@ -41,10 +41,6 @@ def _require_same_dim(a: np.ndarray, b: np.ndarray) -> None:
         raise ValueError(f"dimension mismatch: {a.shape} vs {b.shape}")
 
 
-def is_power_of_two(n: int) -> bool:
-    return n >= 1 and (n & (n - 1)) == 0
-
-
 def is_unitary(m: np.ndarray, atol: float = UNITARY_ATOL) -> bool:
     """True when M†M = I entry-wise within ``atol``."""
     if m.ndim != 2 or m.shape[0] != m.shape[1]:

@@ -82,16 +82,11 @@ def apply_op(state: np.ndarray, op: Op, n_qubits: int) -> np.ndarray:
     return _apply_flat(state[None, :], op, n_qubits)[0]
 
 
-def apply_op_batch(states: np.ndarray, op: Op, n_qubits: int) -> np.ndarray:
-    """One gate applied to a (batch, 2**n) stack of states."""
-    return _apply_flat(states, op, n_qubits)
-
-
 def apply_1q_batch(states: np.ndarray, u: np.ndarray, qubit: int) -> np.ndarray:
     """A prebuilt 2×2 matrix applied on one qubit of a (batch, 2**n) stack.
 
-    Fast path for callers that apply the same ops many times (gradient
-    tails); skips Op dispatch and matrix construction.
+    Fast path for callers that apply the same ops many times (the
+    training gradient); skips Op dispatch and matrix construction.
     """
     n = states.shape[1].bit_length() - 1
     return _apply_1q_flat(states, u, qubit, n)
@@ -132,7 +127,8 @@ def run(c: Circuit, initial: np.ndarray | None = None) -> np.ndarray:
         psi = _apply_flat(psi, op, c.n_qubits)
     out = psi[0]
     drift = abs(np.linalg.norm(out) - np.linalg.norm(initial))
-    assert drift <= NORM_ATOL, f"statevector norm drifted by {drift:.3e}"
+    if not drift <= NORM_ATOL:  # also catches a NaN
+        raise ValueError(f"statevector norm drifted by {drift:.3e}")
     return out
 
 

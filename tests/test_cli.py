@@ -243,3 +243,26 @@ def test_retrain_zero_parameters_warns(runner, tmp_path):
     )
     assert result.exit_code == 0
     assert "warning" in result.output or "unchanged" in result.output
+
+
+@pytest.mark.parametrize(
+    "command, flags, message",
+    [
+        ("optimize", ["--tolerance", "0"], "tolerance must be in (0, 1], got 0.0"),
+        ("optimize", ["--tolerance", "0.05", "--iters", "0"], "iterations must be >= 1, got 0"),
+        ("retrain", ["--epochs", "0"], "epochs must be >= 1, got 0"),
+    ],
+    ids=["optimize-tolerance-0", "optimize-iters-0", "retrain-epochs-0"],
+)
+def test_invalid_config_values_exit_2(runner, tmp_path, command, flags, message):
+    path = tmp_path / "model.qc"
+    iris = qnn.load_dataset("iris")
+    spec = qnn.LayerSpec(qnn.LayerKind.BASIC_ENTANGLER, 1, 4)
+    qnn.save_model(qnn.build_model(spec, iris), path)
+    where = ["--in", str(path)] if command == "optimize" else ["--model", str(path)]
+    result = runner.invoke(main, [command, *where, *flags, "--out", str(tmp_path / "out.qc")])
+    assert result.exit_code == 2
+    assert "Traceback" not in result.output
+    errors = [line for line in result.output.splitlines() if line.startswith("Error:")]
+    assert errors == [f"Error: {message}"]
+    assert not (tmp_path / "out.qc").exists()

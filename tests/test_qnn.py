@@ -7,7 +7,7 @@ import math
 import numpy as np
 import pytest
 
-from pqc_forge import qnn
+from pqc_forge import qnn, sim
 from pqc_forge.circuit import Circuit, Op, metrics
 from pqc_forge.gates import GateKind
 from pqc_forge.greedy import GreedyParams
@@ -207,6 +207,77 @@ def test_gradient_matches_finite_differences(iris, kind):
     assert np.max(np.abs(grad - fd)) <= 1e-4
 
 
+def parameter_shift_gradient(model, x, y):
+    """The naive parameter-shift rule: two full circuits per angle.
+
+    Every trainable angle enters as exp(-iθP/2), so d(logit)/dθ is half
+    the difference of the logits at θ ± π/2; chained through softmax
+    cross-entropy with dL/dlogit = (softmax - onehot) / batch.
+    """
+    encoded = encode_batch(model, x)
+
+    def logits(ansatz):
+        states = sim.run_batch(ansatz, encoded)
+        z = np.stack([sim.expect_z_batch(states, q) for q in model.readout_qubits], axis=1)
+        return model.readout_scale * z + model.readout_bias
+
+    dl_dz = softmax(logits(model.ansatz))
+    dl_dz[np.arange(len(y)), y] -= 1.0
+    dl_dz /= len(y)
+    p0 = get_params(model.ansatz)
+    grad = np.zeros(len(p0))
+    for s, e in enumerate(np.eye(len(p0))):
+        plus = logits(set_params(model.ansatz, p0 + math.pi / 2 * e))
+        minus = logits(set_params(model.ansatz, p0 - math.pi / 2 * e))
+        grad[s] = np.sum(dl_dz * (plus - minus) / 2)
+    return grad
+
+
+def mixed_ansatz():
+    """Frozen rotations, fixed gates, cnots and the single-angle rz/ry
+    factors that ``optimize`` leaves behind when it splits an r gate."""
+    rz, ry, rx, r3 = GateKind.RZ, GateKind.RY, GateKind.RX, GateKind.R3
+    return Circuit(
+        4,
+        (
+            Op(GateKind.H, (0,)),
+            Op(rx, (2,), (0.7,), False),
+            Op(rz, (1,), (0.4,), True),  # a split r gate: rz(φ), ry(θ), rz(ω)
+            Op(ry, (1,), (-1.1,), True),
+            Op(rz, (1,), (2.0,), True),
+            Op(GateKind.CNOT, (0, 1)),
+            Op(GateKind.S, (2,)),
+            Op(r3, (3,), (0.3, -0.5, 1.2), False),
+            Op(ry, (3,), (1.3,), True),
+            Op(GateKind.SX, (0,)),
+            Op(GateKind.CNOT, (3, 2)),
+            Op(rz, (0,), (-2.5,), True),
+            Op(rx, (2,), (0.9,), True),
+            Op(GateKind.CNOT, (1, 3)),
+            Op(rz, (2,), (0.2,), False),
+            Op(r3, (1,), (-0.8, 2.2, 0.6), True),
+            Op(GateKind.H, (3,)),
+        ),
+    )
+
+
+@pytest.mark.parametrize("batch", [1, 16])
+@pytest.mark.parametrize("affine", [False, True])
+@pytest.mark.parametrize("ansatz", ["bel", "sel", "mixed"])
+def test_gradient_matches_parameter_shift(iris, ansatz, affine, batch):
+    if ansatz == "mixed":
+        m = qnn.build_model(qnn.LayerSpec(BEL, 1, 4), iris, seed=0).with_ansatz(mixed_ansatz())
+    else:
+        m = qnn.build_model(qnn.LayerSpec(qnn.LayerKind(ansatz), 2, 4), iris, seed=4)
+    if affine:
+        m = m.with_readout(np.array([1.5, -0.7, 2.0]), np.array([0.1, -0.2, 0.05]))
+    x, y = iris.train_x[:batch], iris.train_y[:batch]
+    _, grad = loss_and_gradient(m, x, y)
+    want = parameter_shift_gradient(m, x, y)
+    assert grad.shape == want.shape == (len(trainable_slots(m.ansatz)),)
+    assert np.max(np.abs(grad - want)) <= 1e-12
+
+
 def test_readout_gradient_matches_finite_differences(iris):
     m = qnn.build_model(qnn.LayerSpec(BEL, 1, 4), iris, seed=3)
     m = m.with_readout(np.array([1.5, 0.7, 2.0]), np.array([0.1, -0.2, 0.05]))
@@ -286,7 +357,25 @@ def test_training_is_deterministic(iris):
     m1, h1 = qnn.train(m, iris, qnn.TrainConfig(epochs=3, seed=2))
     m2, h2 = qnn.train(m, iris, qnn.TrainConfig(epochs=3, seed=2))
     assert m1.ansatz == m2.ansatz
-    assert h1.epochs == h2.epochs
+
+    def timeless(h):  # wall time is the one field that may differ
+        return [{k: v for k, v in e.items() if k != "wall_s"} for e in h.epochs]
+
+    assert timeless(h1) == timeless(h2)
+
+
+def test_history_records_wall_time_and_gradient_norm(iris):
+    m = qnn.build_model(qnn.LayerSpec(BEL, 1, 4), iris, seed=2)
+    m = m.with_readout(np.array([1.2, 0.8, 1.0]), np.array([0.1, 0.0, -0.1]))
+    # one batch per epoch: the first epoch's gradient is that of the start
+    cfg = qnn.TrainConfig(epochs=2, batch_size=len(iris.train_y), seed=2)
+    _, hist = qnn.train(m, iris, cfg)
+    for record in hist.epochs:
+        assert record["wall_s"] > 0
+        assert math.isfinite(record["grad_norm"]) and record["grad_norm"] > 0
+    _, grad, readout_grad = _loss_and_gradients(m, iris.train_x, iris.train_y)
+    want = np.linalg.norm(np.concatenate([grad, readout_grad]))
+    assert hist.epochs[0]["grad_norm"] == pytest.approx(want, rel=1e-12)
 
 
 def test_retrain_touches_only_trainable_angles(iris):

@@ -38,6 +38,13 @@ def test_run_rejects_wrong_dimension():
         sim.run(Circuit(2), sim.zero_state(3))
 
 
+def test_run_rejects_a_state_with_nan():
+    state = sim.zero_state(2)
+    state[3] = np.nan
+    with pytest.raises(ValueError, match="norm drifted"):
+        sim.run(Circuit(2, (Op(GateKind.H, (0,)),)), state)
+
+
 def test_norm_preserved_after_every_gate():
     rng = np.random.default_rng(43)
     c = random_circuit(4, 40, rng)
