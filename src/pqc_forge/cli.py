@@ -117,6 +117,21 @@ def main():
     """Greedy non-parametric optimization of parametric quantum circuits."""
 
 
+def _greedy_flags(func):
+    func = click.option("--iters", type=int, default=20, show_default=True)(func)
+    func = click.option("--top-k", type=int, default=4, show_default=True)(func)
+    func = click.option(
+        "--metric",
+        type=click.Choice(sorted(_METRICS)),
+        default=DistanceMetric.PHASE_INVARIANT.value,
+        show_default=True,
+    )(func)
+    func = click.option(
+        "--seed", type=int, default=None, help="Default: $PQC_FORGE_SEED or 0."
+    )(func)
+    return func
+
+
 @main.command("approx-gate")
 @click.option("--gate", type=click.Choice(["rx", "ry", "rz"]), required=True)
 @click.option("--angle", type=float, default=None, help="Rotation angle in radians.")
@@ -127,22 +142,12 @@ def main():
     default=None,
     help="START STOP STEP grid of angles (inclusive of STOP).",
 )
-@click.option("--iters", type=int, default=20, show_default=True)
-@click.option("--top-k", type=int, default=4, show_default=True)
-@click.option(
-    "--metric",
-    type=click.Choice(sorted(_METRICS)),
-    default=DistanceMetric.PHASE_INVARIANT.value,
-    show_default=True,
-)
-@click.option("--seed", type=int, default=None, help="Default: $PQC_FORGE_SEED or 0.")
+@_greedy_flags
 @click.option("--restarts", type=int, default=8, show_default=True)
 def cmd_approx_gate(gate, angle, angle_grid, iters, top_k, metric, seed, restarts):
     """Approximate one rotation gate by fixed gates; report the distances."""
     if (angle is None) == (angle_grid is None):
         raise click.UsageError("give exactly one of --angle or --angle-grid")
-    if restarts < 1:
-        raise click.UsageError("--restarts must be >= 1")
     seed = _resolve_seed(seed)
     with _usage_errors():
         params = GreedyParams(
@@ -202,21 +207,6 @@ def cmd_metrics(in_path, json_path):
         _write_json(json_path, payload)
 
 
-def _greedy_flags(func):
-    func = click.option("--iters", type=int, default=20, show_default=True)(func)
-    func = click.option("--top-k", type=int, default=4, show_default=True)(func)
-    func = click.option(
-        "--metric",
-        type=click.Choice(sorted(_METRICS)),
-        default=DistanceMetric.PHASE_INVARIANT.value,
-        show_default=True,
-    )(func)
-    func = click.option(
-        "--seed", type=int, default=None, help="Default: $PQC_FORGE_SEED or 0."
-    )(func)
-    return func
-
-
 @main.command("optimize")
 @click.option("--in", "in_path", type=click.Path(), required=True)
 @click.option("--tolerance", type=float, required=True)
@@ -229,8 +219,7 @@ def _greedy_flags(func):
 @_greedy_flags
 @click.option("--out", "out_path", type=click.Path(), default=None)
 @click.option("--report", "report_path", type=click.Path(), default=None)
-@click.option("--jobs", type=int, default=1, show_default=True)
-def cmd_optimize(in_path, tolerance, mode, iters, top_k, metric, seed, out_path, report_path, jobs):
+def cmd_optimize(in_path, tolerance, mode, iters, top_k, metric, seed, out_path, report_path):
     """Replace parametric gates whose approximation beats the tolerance."""
     seed = _resolve_seed(seed)
     with _usage_errors():
@@ -241,7 +230,7 @@ def cmd_optimize(in_path, tolerance, mode, iters, top_k, metric, seed, out_path,
         )
     c = _load_circuit(in_path)
     try:
-        new_c, report = optimize(c, cfg, jobs=jobs)
+        new_c, report = optimize(c, cfg)
     except ValueError as exc:
         _fail(str(exc))
     out_path = out_path or str(Path(in_path).with_suffix(".opt.qc"))
@@ -282,8 +271,7 @@ def cmd_optimize(in_path, tolerance, mode, iters, top_k, metric, seed, out_path,
 @click.option("--dataset", type=click.Choice(qnn.data.DATASET_NAMES), default=None)
 @click.option("--data", "data_path", type=click.Path(), default=None)
 @click.option("--out", "out_path", type=click.Path(), default=None)
-@click.option("--jobs", type=int, default=1, show_default=True)
-def cmd_sweep(in_path, tolerances, mode, iters, top_k, metric, seed, dataset, data_path, out_path, jobs):
+def cmd_sweep(in_path, tolerances, mode, iters, top_k, metric, seed, dataset, data_path, out_path):
     """Optimize at several tolerances; emit one CSV row per tolerance."""
     seed = _resolve_seed(seed)
     try:
@@ -310,7 +298,7 @@ def cmd_sweep(in_path, tolerances, mode, iters, top_k, metric, seed, dataset, da
             return qnn.accuracy(model.with_ansatz(opt_circuit), ds.test_x, ds.test_y)
 
     try:
-        rows = sweep(c, tols, cfg, evaluate=evaluate, jobs=jobs)
+        rows = sweep(c, tols, cfg, evaluate=evaluate)
     except ValueError as exc:
         _fail(str(exc))
     manifest = _manifest(
@@ -352,8 +340,9 @@ def cmd_train(dataset, data_path, layer_kind, layers, qubits, epochs, lr, batch_
             epochs=epochs, learning_rate=lr, batch_size=batch_size, seed=seed
         )
     ds = _load_dataset(dataset, data_path, seed)
-    try:
+    with _usage_errors():
         model = qnn.build_model(spec, ds, seed=seed)
+    try:
         model, history = qnn.train(model, ds, cfg)
     except ValueError as exc:
         _fail(str(exc))

@@ -30,7 +30,7 @@ alphabet word up to a length cap.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -61,19 +61,9 @@ class GreedyParams:
 
 
 @dataclass(frozen=True)
-class IterationRecord:
-    """One greedy step: candidate scores, the random pick, accepted or not."""
-
-    scores: tuple[tuple[GateKind, float], ...]  # alphabet order, sentinel kept
-    chosen: GateKind
-    accepted: bool
-
-
-@dataclass(frozen=True)
 class GreedyResult:
     sequence: tuple[GateKind, ...]
     final_dist: float
-    trace: tuple[IterationRecord, ...] = field(repr=False)
 
     def mnemonics(self) -> list[str]:
         return [kind.value for kind in self.sequence]
@@ -119,7 +109,6 @@ def _single_search(target: np.ndarray, params: GreedyParams, seed_key) -> Greedy
     rng = np.random.default_rng(seed_key)
     acc = np.eye(2, dtype=complex)  # product of the accepted sequence
     sequence: list[GateKind] = []
-    trace: list[IterationRecord] = []
     final_dist = distance(target, acc, params.metric)  # empty sequence baseline
     prev: GateKind | None = None
 
@@ -134,22 +123,13 @@ def _single_search(target: np.ndarray, params: GreedyParams, seed_key) -> Greedy
         order = sorted(range(len(ALPHABET)), key=lambda i: (scores[i], i))
         top = order[: params.top_k]
         pick = top[int(rng.integers(len(top)))]
-        chosen = ALPHABET[pick]
-        accepted = scores[pick] < final_dist
-        if accepted:
-            prev = chosen
+        if scores[pick] < final_dist:
+            prev = ALPHABET[pick]
             final_dist = scores[pick]
-            sequence.append(chosen)
+            sequence.append(prev)
             acc = _ALPHABET_MATS[pick] @ acc
-        trace.append(
-            IterationRecord(
-                scores=tuple(zip(ALPHABET, scores)),
-                chosen=chosen,
-                accepted=accepted,
-            )
-        )
 
-    return GreedyResult(tuple(sequence), final_dist, tuple(trace))
+    return GreedyResult(tuple(sequence), final_dist)
 
 
 def exhaustive_oracle(

@@ -41,14 +41,6 @@ def _require_same_dim(a: np.ndarray, b: np.ndarray) -> None:
         raise ValueError(f"dimension mismatch: {a.shape} vs {b.shape}")
 
 
-def is_unitary(m: np.ndarray, atol: float = UNITARY_ATOL) -> bool:
-    """True when M†M = I entry-wise within ``atol``."""
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        return False
-    eye = np.eye(m.shape[0])
-    return bool(np.max(np.abs(m.conj().T @ m - eye)) <= atol)
-
-
 def check_unitary(m: np.ndarray, atol: float = UNITARY_ATOL) -> np.ndarray:
     """Return ``m`` unchanged, raising ValueError when it is not unitary."""
     _require_square(m, "matrix")
@@ -56,21 +48,6 @@ def check_unitary(m: np.ndarray, atol: float = UNITARY_ATOL) -> np.ndarray:
     if off > atol:
         raise ValueError(f"matrix is not unitary: max |U†U - I| = {off:.3e}")
     return m
-
-
-def multiply(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Matrix product a·b of two equal-dimension square matrices."""
-    _require_square(a, "a")
-    _require_square(b, "b")
-    _require_same_dim(a, b)
-    return a @ b
-
-
-def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Tensor product a ⊗ b; result dimension is dim(a)·dim(b)."""
-    _require_square(a, "a")
-    _require_square(b, "b")
-    return np.kron(a, b)
 
 
 def trace_overlap(u: np.ndarray, v: np.ndarray) -> complex:

@@ -8,20 +8,21 @@ bit-for-bit. Three-angle r gates are first split into their
 rz(φ)·ry(θ)·rz(ω) factors and each factor is handled like a standalone
 rotation. cnot and fixed gates always pass through unchanged.
 
-``FUSED_RUNS`` mode first coalesces maximal runs of consecutive
-parametric factors on one wire into a single 2×2 target, so back-to-back
-rotations whose product is near-identity vanish together instead of
-leaving a t·t† style residue.
+Both modes group factors into runs and search each run once.
+``PER_GATE`` mode gives every factor its own run. ``FUSED_RUNS`` mode
+extends a wire's open run with each further factor on that wire, and any
+other op closes the runs on its wires, so back-to-back rotations whose
+product is near-identity vanish together instead of leaving a t·t†
+style residue.
 
 Each search draws from a random stream keyed by (seed, source position,
 factor index), so reports are deterministic for a given seed no matter
-how many gates are searched, in what order, or on how many workers.
+how many gates are searched or in what order.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
@@ -137,123 +138,64 @@ def _splice(sequence, qubit: int) -> list[Op]:
 
 
 @dataclass
-class _SearchTask:
+class _Run:
+    """Consecutive rotation factors on one wire, searched as one target."""
+
     position: int
     factor: int | None
-    span: int
     qubit: int
-    kinds_angles: list[tuple[GateKind, float]]  # factors, circuit order
-    kept_ops: list[Op]  # what to emit when not replaced
-    label: str
+    factors: list[tuple[GateKind, float]] = field(default_factory=list)  # circuit order
+    kept_ops: list[Op] = field(default_factory=list)  # what to emit when not replaced
 
 
-def _run_task(task: _SearchTask, cfg: OptimizeConfig):
+def _search(run: _Run, cfg: OptimizeConfig):
     target = np.eye(2, dtype=complex)
-    for kind, angle in task.kinds_angles:
+    for kind, angle in run.factors:
         target = gates.unitary(kind, (angle,)) @ target
-    seed_key = (cfg.greedy.seed, task.position, task.factor or 0)
+    seed_key = (cfg.greedy.seed, run.position, run.factor or 0)
     return param_gate_transform(target, cfg.greedy, seed_key=seed_key)
 
 
-def optimize(
-    c: Circuit, cfg: OptimizeConfig, jobs: int = 1
-) -> tuple[Circuit, OptimizeReport]:
+def optimize(c: Circuit, cfg: OptimizeConfig) -> tuple[Circuit, OptimizeReport]:
     """Run the replacement pass; returns the new circuit and its report."""
-    slots: list = []  # Op for pass-through, _SearchTask for searched spots
-    tasks: list[_SearchTask] = []
-
-    if cfg.mode is OptimizeMode.PER_GATE:
-        for pos, op in enumerate(c.ops):
-            if op.kind not in _SPLITTABLE:
-                slots.append(op)
-                continue
-            factors = _split_factors(op)
-            multi = len(factors) > 1
-            for f_idx, (kind, angle, trainable) in enumerate(factors):
-                task = _SearchTask(
-                    position=pos,
-                    factor=f_idx if multi else None,
-                    span=1,
-                    qubit=op.qubits[0],
-                    kinds_angles=[(kind, angle)],
-                    kept_ops=[
-                        op
-                        if not multi
-                        else Op(kind, op.qubits, (angle,), trainable)
-                    ],
-                    label=kind.value,
-                )
-                tasks.append(task)
-                slots.append(task)
-    else:
-        open_runs: dict[int, _SearchTask] = {}
-
-        def close(q: int) -> None:
-            open_runs.pop(q, None)
-
-        for pos, op in enumerate(c.ops):
-            if op.kind in _SPLITTABLE:
-                q = op.qubits[0]
-                factors = _split_factors(op)
-                multi = len(factors) > 1
-                for f_idx, (kind, angle, trainable) in enumerate(factors):
-                    kept = op if not multi else Op(kind, op.qubits, (angle,), trainable)
-                    run = open_runs.get(q)
-                    if run is None:
-                        run = _SearchTask(
-                            position=pos,
-                            factor=f_idx if multi else None,
-                            span=0,
-                            qubit=q,
-                            kinds_angles=[],
-                            kept_ops=[],
-                            label="fused",
-                        )
-                        open_runs[q] = run
-                        tasks.append(run)
-                        slots.append(run)
-                    run.kinds_angles.append((kind, angle))
-                    run.kept_ops.append(kept)
-                    run.span += 1
-            else:
-                for q in op.qubits:
-                    close(q)
-                slots.append(op)
-        for task in tasks:
-            if task.span == 1:
-                task.label = task.kinds_angles[0][0].value
-
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(lambda t: _run_task(t, cfg), tasks))
-    else:
-        results = [_run_task(t, cfg) for t in tasks]
-    by_task = dict(zip(map(id, tasks), results))
+    # Per-gate mode is fused mode with one factor per run.
+    per_gate = cfg.mode is OptimizeMode.PER_GATE
+    slots: list[Op | _Run] = []
+    open_runs: dict[int, _Run] = {}
+    for pos, op in enumerate(c.ops):
+        if op.kind not in _SPLITTABLE:
+            for q in op.qubits:
+                open_runs.pop(q, None)
+            slots.append(op)
+            continue
+        q = op.qubits[0]
+        factors = _split_factors(op)
+        multi = len(factors) > 1
+        for f_idx, (kind, angle, trainable) in enumerate(factors):
+            run = None if per_gate else open_runs.get(q)
+            if run is None:
+                run = open_runs[q] = _Run(pos, f_idx if multi else None, q)
+                slots.append(run)
+            run.factors.append((kind, angle))
+            run.kept_ops.append(op if not multi else Op(kind, op.qubits, (angle,), trainable))
 
     out_ops: list[Op] = []
     ledger: list[LedgerEntry] = []
-    seen: set[int] = set()
     for slot in slots:
         if isinstance(slot, Op):
             out_ops.append(slot)
             continue
-        if id(slot) in seen:  # a run emits once, at its first position
-            continue
-        seen.add(id(slot))
-        res = by_task[id(slot)]
+        res = _search(slot, cfg)
         replaced = res.final_dist < cfg.tolerance
-        if replaced:
-            out_ops.extend(_splice(res.sequence, slot.qubit))
-        else:
-            out_ops.extend(slot.kept_ops)
+        out_ops.extend(_splice(res.sequence, slot.qubit) if replaced else slot.kept_ops)
         ledger.append(
             LedgerEntry(
                 position=slot.position,
-                gate=slot.label,
+                gate=slot.factors[0][0].value if len(slot.factors) == 1 else "fused",
                 qubit=slot.qubit,
-                angles=tuple(a for _, a in slot.kinds_angles),
+                angles=tuple(a for _, a in slot.factors),
                 factor=slot.factor,
-                span=slot.span,
+                span=len(slot.factors),
                 replaced=replaced,
                 distance=res.final_dist,
                 replacement=tuple(k.value for k in res.sequence),
@@ -274,7 +216,7 @@ def optimize(
         before=metrics(c),
         after=metrics(new_circuit),
         ledger=ledger,
-        transform_calls=len(tasks),
+        transform_calls=len(ledger),
         global_distance=global_dist,
     )
     return new_circuit, report
@@ -285,7 +227,6 @@ def sweep(
     tolerances,
     cfg: OptimizeConfig | None = None,
     evaluate=None,
-    jobs: int = 1,
 ) -> list[dict]:
     """Optimize at each tolerance; one result row per tolerance.
 
@@ -301,7 +242,7 @@ def sweep(
     rows = []
     for tol in tolerances:
         run_cfg = OptimizeConfig(tolerance=tol, greedy=base.greedy, mode=base.mode)
-        optimized, report = optimize(c, run_cfg, jobs=jobs)
+        optimized, report = optimize(c, run_cfg)
         row = {
             "tolerance": tol,
             "depth": report.after.decomposed_depth,

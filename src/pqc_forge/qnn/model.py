@@ -201,7 +201,12 @@ def save_model(model: Model, path, extra: dict | None = None) -> None:
 
 
 def load_model(path) -> Model:
-    """Read a circuit file plus sidecar back into a Model."""
+    """Read a circuit file plus sidecar back into a Model.
+
+    Raises ValueError when the sidecar lacks a key, holds a value of the
+    wrong type, or disagrees with the circuit's qubit count, its own class
+    count or its feature count.
+    """
     path = Path(path)
     ansatz = circ.load(path)
     side = sidecar_path(path)
@@ -210,20 +215,37 @@ def load_model(path) -> Model:
             meta = json.load(fh)
     except OSError as exc:
         raise FileNotFoundError(f"missing model sidecar {side}: {exc}") from exc
-    if meta.get("format") != SIDECAR_FORMAT:
+    if not isinstance(meta, dict) or meta.get("format") != SIDECAR_FORMAT:
         raise ValueError(f"{side} is not a {SIDECAR_FORMAT} sidecar")
-    return Model(
-        ansatz=ansatz,
-        n_classes=int(meta["n_classes"]),
-        feature_count=int(meta["feature_count"]),
-        layer_kind=meta["layer"]["kind"],
-        layers=int(meta["layer"]["layers"]),
-        lo=np.asarray(meta["normalization"]["lo"], dtype=float),
-        hi=np.asarray(meta["normalization"]["hi"], dtype=float),
-        dataset_name=meta["dataset"],
-        seed=int(meta["seed"]),
-        split_seed=int(meta.get("split_seed", 0)),
-        # version-1 sidecars predate the affine readout: identity map
-        readout_scale=meta.get("readout_scale"),
-        readout_bias=meta.get("readout_bias"),
-    )
+    try:
+        n_qubits, n_classes = int(meta["n_qubits"]), int(meta["n_classes"])
+        if n_qubits != ansatz.n_qubits:
+            raise ValueError(f"{side} says {n_qubits} qubits, the circuit has {ansatz.n_qubits}")
+        if n_classes > n_qubits:
+            raise ValueError(f"{side} reads {n_classes} classes out of {n_qubits} qubits")
+        model = Model(
+            ansatz=ansatz,
+            n_classes=n_classes,
+            feature_count=int(meta["feature_count"]),
+            layer_kind=meta["layer"]["kind"],
+            layers=int(meta["layer"]["layers"]),
+            lo=np.asarray(meta["normalization"]["lo"], dtype=float),
+            hi=np.asarray(meta["normalization"]["hi"], dtype=float),
+            dataset_name=meta["dataset"],
+            seed=int(meta["seed"]),
+            split_seed=int(meta.get("split_seed", 0)),
+            # version-1 sidecars predate the affine readout: identity map
+            readout_scale=meta.get("readout_scale"),
+            readout_bias=meta.get("readout_bias"),
+        )
+    except KeyError as exc:
+        raise ValueError(f"{side} lacks the key {exc}") from None
+    except TypeError as exc:
+        raise ValueError(f"{side} has a malformed entry: {exc}") from None
+    for name in ("lo", "hi"):
+        bounds = getattr(model, name)
+        if bounds.shape != (model.feature_count,):
+            raise ValueError(
+                f"{side} has {bounds.size} {name} bounds for {model.feature_count} features"
+            )
+    return model

@@ -71,6 +71,11 @@ def test_approx_gate_usage_errors(runner):
     assert result.exit_code == 2
     result = runner.invoke(main, ["approx-gate", "--gate", "cz", "--angle", "1"])
     assert result.exit_code == 2
+    result = runner.invoke(
+        main, ["approx-gate", "--gate", "rx", "--angle", "1", "--restarts", "0"]
+    )
+    assert result.exit_code == 2
+    assert "Error: restarts must be >= 1, got 0" in result.output
 
 
 def test_env_seed_fallback(runner):
@@ -228,6 +233,37 @@ def test_sweep_dataset_without_sidecar_fails(runner, tmp_path):
     assert "sidecar" in result.output
 
 
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda meta: meta.pop("n_classes"), "lacks the key 'n_classes'"),
+        (lambda meta: meta.update(n_qubits=5), "says 5 qubits, the circuit has 4"),
+        (lambda meta: meta.update(n_classes=5), "reads 5 classes out of 4 qubits"),
+        (
+            lambda meta: meta["normalization"].update(lo=[0.0] * 3),
+            "has 3 lo bounds for 4 features",
+        ),
+        (
+            lambda meta: meta.update(normalization=None),
+            "has a malformed entry: 'NoneType' object is not subscriptable",
+        ),
+    ],
+    ids=["missing-key", "qubit-count", "class-count", "bounds-length", "wrong-type"],
+)
+def test_eval_rejects_bad_sidecar(runner, tmp_path, edit, message):
+    path = tmp_path / "model.qc"
+    spec = qnn.LayerSpec(qnn.LayerKind.BASIC_ENTANGLER, 1, 4)
+    qnn.save_model(qnn.build_model(spec, qnn.load_dataset("iris")), path)
+    side = qnn.sidecar_path(path)
+    meta = json.loads(side.read_text())
+    edit(meta)
+    side.write_text(json.dumps(meta))
+    result = invoke(runner, "eval", "--model", str(path))
+    assert result.exit_code == 1
+    assert "Traceback" not in result.output
+    assert result.output.splitlines() == [f"error: cannot load model {path}: {side} {message}"]
+
+
 def test_retrain_zero_parameters_warns(runner, tmp_path):
     model_path = tmp_path / "model.qc"
     invoke(
@@ -251,15 +287,20 @@ def test_retrain_zero_parameters_warns(runner, tmp_path):
         ("optimize", ["--tolerance", "0"], "tolerance must be in (0, 1], got 0.0"),
         ("optimize", ["--tolerance", "0.05", "--iters", "0"], "iterations must be >= 1, got 0"),
         ("retrain", ["--epochs", "0"], "epochs must be >= 1, got 0"),
+        (
+            "train",
+            ["--dataset", "iris", "--qubits", "2"],
+            "3 classes need at least that many qubits, got 2",
+        ),
     ],
-    ids=["optimize-tolerance-0", "optimize-iters-0", "retrain-epochs-0"],
+    ids=["optimize-tolerance-0", "optimize-iters-0", "retrain-epochs-0", "train-qubits-2"],
 )
 def test_invalid_config_values_exit_2(runner, tmp_path, command, flags, message):
     path = tmp_path / "model.qc"
     iris = qnn.load_dataset("iris")
     spec = qnn.LayerSpec(qnn.LayerKind.BASIC_ENTANGLER, 1, 4)
     qnn.save_model(qnn.build_model(spec, iris), path)
-    where = ["--in", str(path)] if command == "optimize" else ["--model", str(path)]
+    where = {"optimize": ["--in", str(path)], "retrain": ["--model", str(path)]}.get(command, [])
     result = runner.invoke(main, [command, *where, *flags, "--out", str(tmp_path / "out.qc")])
     assert result.exit_code == 2
     assert "Traceback" not in result.output

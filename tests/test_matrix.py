@@ -5,9 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from pqc_forge import matrix
 from pqc_forge.gates import ALPHABET, GateKind, rx, unitary
-from pqc_forge.matrix import DistanceMetric, distance, is_unitary, kron, multiply
+from pqc_forge.matrix import DistanceMetric, check_unitary, distance
 
 I2 = np.eye(2, dtype=complex)
 X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -23,37 +22,31 @@ def random_catalog_product(rng, n_gates=5):
 
 
 def test_multiply_identity_cases():
-    assert np.allclose(multiply(I2, I2), I2)
-    assert np.allclose(multiply(X, X), I2)
+    assert np.allclose(I2 @ I2, I2)
+    assert np.allclose(X @ X, I2)
 
 
 def test_multiply_hzh_equals_x():
-    hzh = multiply(multiply(H, Z), H)
+    hzh = H @ Z @ H
     assert np.max(np.abs(hzh - X)) < 1e-12
-
-
-def test_multiply_dimension_mismatch():
-    with pytest.raises(ValueError, match="mismatch"):
-        multiply(I2, np.eye(4, dtype=complex))
 
 
 def test_multiply_preserves_unitarity():
     rng = np.random.default_rng(3)
     for _ in range(20):
-        u = multiply(random_catalog_product(rng), random_catalog_product(rng))
-        assert is_unitary(u)
+        check_unitary(random_catalog_product(rng) @ random_catalog_product(rng))
 
 
 def test_kron_identities():
-    assert np.allclose(kron(I2, I2), np.eye(4))
+    assert np.allclose(np.kron(I2, I2), np.eye(4))
     expected = np.zeros((4, 4), dtype=complex)
     expected[0, 2] = expected[1, 3] = expected[2, 0] = expected[3, 1] = 1
-    assert np.allclose(kron(X, I2), expected)
+    assert np.allclose(np.kron(X, I2), expected)
 
 
 def test_kron_hh_squared_is_identity():
-    hh = kron(H, H)
-    assert np.max(np.abs(multiply(hh, hh) - np.eye(4))) < 1e-12
+    hh = np.kron(H, H)
+    assert np.max(np.abs(hh @ hh - np.eye(4))) < 1e-12
 
 
 def test_distance_identity_is_zero_both_modes():
@@ -117,7 +110,9 @@ def test_distance_dimension_mismatch():
 
 
 def test_is_unitary_rejects_non_unitary():
-    assert not is_unitary(np.array([[1, 0], [0, 2]], dtype=complex))
-    assert not is_unitary(np.ones((2, 3), dtype=complex))
     with pytest.raises(ValueError, match="not unitary"):
-        matrix.check_unitary(2 * I2)
+        check_unitary(np.array([[1, 0], [0, 2]], dtype=complex))
+    with pytest.raises(ValueError, match="square"):
+        check_unitary(np.ones((2, 3), dtype=complex))
+    with pytest.raises(ValueError, match="not unitary"):
+        check_unitary(2 * I2)

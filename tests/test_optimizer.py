@@ -179,15 +179,14 @@ def test_report_json_schema():
     json.dumps(payload)  # must be serializable as-is
 
 
-def test_determinism_and_jobs_equivalence():
+def test_determinism():
     rng = np.random.default_rng(15)
     c = random_circuit(4, 30, rng)
     cfg = OptimizeConfig(tolerance=0.05, greedy=GreedyParams(seed=3))
     out1, rep1 = optimize(c, cfg)
     out2, rep2 = optimize(c, cfg)
-    out3, rep3 = optimize(c, cfg, jobs=4)
-    assert out1 == out2 == out3
-    assert rep1.as_dict() == rep2.as_dict() == rep3.as_dict()
+    assert out1 == out2
+    assert rep1.as_dict() == rep2.as_dict()
 
 
 def test_mode_and_tolerance_validation():
