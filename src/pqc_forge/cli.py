@@ -34,6 +34,7 @@ from .optimizer import OptimizeConfig, OptimizeMode, optimize, sweep
 from .qnn.model import sidecar_path
 
 _TRAIN_DEFAULTS = qnn.TrainConfig()
+_GREEDY_DEFAULTS = GreedyParams()
 _METRICS = {m.value: m for m in DistanceMetric}
 _MODES = {m.value: m for m in OptimizeMode}
 _LAYER_KINDS = {k.value: k for k in qnn.LayerKind}
@@ -118,12 +119,14 @@ def main():
 
 
 def _greedy_flags(func):
-    func = click.option("--iters", type=int, default=20, show_default=True)(func)
-    func = click.option("--top-k", type=int, default=4, show_default=True)(func)
+    func = click.option(
+        "--iters", type=int, default=_GREEDY_DEFAULTS.iterations, show_default=True
+    )(func)
+    func = click.option("--top-k", type=int, default=_GREEDY_DEFAULTS.top_k, show_default=True)(func)
     func = click.option(
         "--metric",
         type=click.Choice(sorted(_METRICS)),
-        default=DistanceMetric.PHASE_INVARIANT.value,
+        default=_GREEDY_DEFAULTS.metric.value,
         show_default=True,
     )(func)
     func = click.option(
@@ -143,7 +146,7 @@ def _greedy_flags(func):
     help="START STOP STEP grid of angles (inclusive of STOP).",
 )
 @_greedy_flags
-@click.option("--restarts", type=int, default=8, show_default=True)
+@click.option("--restarts", type=int, default=_GREEDY_DEFAULTS.restarts, show_default=True)
 def cmd_approx_gate(gate, angle, angle_grid, iters, top_k, metric, seed, restarts):
     """Approximate one rotation gate by fixed gates; report the distances."""
     if (angle is None) == (angle_grid is None):
@@ -281,11 +284,9 @@ def cmd_sweep(in_path, tolerances, mode, iters, top_k, metric, seed, dataset, da
     if not tols:
         raise click.UsageError("--tolerances is empty")
     with _usage_errors():
-        cfg = OptimizeConfig(
-            tolerance=tols[0],
-            greedy=GreedyParams(iters, top_k, _METRICS[metric], seed),
-            mode=_MODES[mode],
-        )
+        greedy = GreedyParams(iters, top_k, _METRICS[metric], seed)
+        # every tolerance is checked here, before any pass runs
+        cfgs = [OptimizeConfig(tolerance=t, greedy=greedy, mode=_MODES[mode]) for t in tols]
     c = _load_circuit(in_path)
     evaluate = None
     if dataset is not None:
@@ -298,7 +299,7 @@ def cmd_sweep(in_path, tolerances, mode, iters, top_k, metric, seed, dataset, da
             return qnn.accuracy(model.with_ansatz(opt_circuit), ds.test_x, ds.test_y)
 
     try:
-        rows = sweep(c, tols, cfg, evaluate=evaluate)
+        rows = sweep(c, tols, cfgs[0], evaluate=evaluate)
     except ValueError as exc:
         _fail(str(exc))
     manifest = _manifest(

@@ -6,7 +6,8 @@ Conventions fixed here and relied on everywhere else:
   RX(θ) = cos(θ/2)·I - i·sin(θ/2)·X (and likewise RY, RZ), giving
   Tr(RX(θ)) = 2·cos(θ/2).
 * The three-angle rotation is R(φ, θ, ω) = RZ(ω)·RY(θ)·RZ(φ) as a matrix
-  product, i.e. RZ(φ) acts first in circuit order.
+  product, i.e. RZ(φ) acts first in circuit order; ``rotation_factors``
+  lists a rotation's single-angle factors in that order.
 * Qubit 0 is the most significant bit of the state index: for n qubits,
   basis state |q0 q1 ... q_{n-1}⟩ has index q0·2^{n-1} + ... + q_{n-1}.
 
@@ -137,6 +138,17 @@ def unitary(kind: GateKind, angles: tuple[float, ...] = ()) -> np.ndarray:
     # R(φ, θ, ω) = RZ(ω)·RY(θ)·RZ(φ)
     phi, theta, omega = angles
     return rz(omega) @ ry(theta) @ rz(phi)
+
+
+def rotation_factors(op) -> list[tuple[GateKind, float]]:
+    """[(kind, angle)] of a rotation ``Op``'s single-angle factors, circuit order.
+
+    rx/ry/rz are one factor; a three-angle r gate is rz(φ), ry(θ), rz(ω).
+    """
+    if op.kind is GateKind.R3:
+        phi, theta, omega = op.angles
+        return [(GateKind.RZ, phi), (GateKind.RY, theta), (GateKind.RZ, omega)]
+    return [(op.kind, op.angles[0])]
 
 
 def _bit(index: int, q: int, n: int) -> int:

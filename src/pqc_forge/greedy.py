@@ -1,28 +1,29 @@
 """Greedy approximation of a 2×2 unitary by fixed single-qubit gates.
 
-One search step scores every alphabet gate (except the previously
-appended one) by the distance the sequence would have after appending
-it, sorts the scores ascending, draws uniformly from the best ``top_k``
-candidates, and appends the draw only when it strictly improves on the
-best distance so far. The best distance starts at the empty sequence's
-own distance, so the identity is always a candidate answer: a rotation
-close to identity comes back as an empty sequence, and nothing ever
-gets appended unless it genuinely beats doing nothing. Unscored entries
-keep the 1000 sentinel, so they can never win. The prev-gate exclusion
-and the randomized draw exist to break the x·x / s·s†·s·s† identity
-loops a pure argmin would fall into.
+A search runs ``restarts`` independent greedy walks as the rows of one
+stack. One step multiplies every alphabet gate onto every row's accepted
+product and scores the (restarts, 11, 2, 2) stack of candidates in one
+``matrix.distances`` call. In each row the previously appended gate
+keeps the 1000 sentinel, so it can never win; the scores are sorted
+ascending (ties by alphabet position), a draw picks uniformly from the
+best ``top_k``, and the pick is appended only when it strictly improves
+on the row's best distance so far. The best distance starts at the empty
+sequence's own distance, so the identity is always a candidate answer: a
+rotation close to identity comes back as an empty sequence, and nothing
+ever gets appended unless it genuinely beats doing nothing. The prev-gate
+exclusion and the randomized draw exist to break the x·x / s·s†·s·s†
+identity loops a pure argmin would fall into.
 
-The randomized draw makes single runs fall into occasional dead ends
+The randomized draw makes single walks fall into occasional dead ends
 (an accepted mediocre gate whose only improving successor is excluded as
-``prev``), so a search runs ``restarts`` independent streams and keeps
-the best result, ranked by distance then sequence length. Restart 0 uses
-the caller's seed key unchanged; restart r appends r to it.
+``prev``), so the search returns the best row, ranked by distance then
+sequence length.
 
-Randomness comes from numpy's PCG64 generator seeded from
-``GreedyParams.seed`` (optionally a composite key, so per-gate streams in
-a circuit pass are independent of execution order). Identical inputs give
-identical outputs, full stop; that determinism-under-seed is the
-reproducibility contract.
+Each row draws once per step from its own numpy PCG64 stream. Row 0 is
+keyed by the caller's seed key (``GreedyParams.seed`` or a composite key,
+so per-gate streams in a circuit pass are independent of execution
+order); row r appends r to it. Identical inputs give identical outputs,
+full stop; that determinism-under-seed is the reproducibility contract.
 
 ``exhaustive_oracle`` is the independent check: brute force over every
 alphabet word up to a length cap.
@@ -35,12 +36,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .gates import ALPHABET, GateKind, unitary
-from .matrix import DistanceMetric, check_unitary, distance
+from .matrix import DistanceMetric, check_unitary, distance, distances
 
 UNSCORED = 1000.0
 RANK_ATOL = 1e-12  # distances closer than this are a tie; shorter wins
 
-_ALPHABET_MATS = tuple(unitary(kind) for kind in ALPHABET)
+_ALPHABET_STACK = np.stack([unitary(kind) for kind in ALPHABET])  # (11, 2, 2)
 
 
 @dataclass(frozen=True)
@@ -76,26 +77,48 @@ def param_gate_transform(
 ) -> GreedyResult:
     """Approximate ``target`` (2×2 unitary) by a fixed-gate sequence.
 
-    Runs ``params.restarts`` independent searches and returns the one
-    with the smallest distance (shorter sequence wins ties). ``seed_key``
-    overrides the random stream key (any int or tuple of ints); it
-    defaults to ``params.seed``. Callers doing many searches pass a
-    composite key such as ``(seed, op_index)`` so that results do not
-    depend on search order.
+    Runs ``params.restarts`` independent walks, one stack row each, and
+    returns the one with the smallest distance (shorter sequence wins
+    ties). ``seed_key`` overrides the random stream key (any int or tuple
+    of ints); it defaults to ``params.seed``. Callers doing many searches
+    pass a composite key such as ``(seed, op_index)`` so that results do
+    not depend on search order.
     """
     if target.shape != (2, 2):
         raise ValueError(f"target must be 2x2, got {target.shape}")
     check_unitary(target, atol=1e-9)
     base = params.seed if seed_key is None else seed_key
     base_tuple = tuple(base) if isinstance(base, tuple) else (base,)
+    n = params.restarts
+    streams = [np.random.default_rng(base if r == 0 else base_tuple + (r,)) for r in range(n)]
+    draws = np.stack([rng.integers(params.top_k, size=params.iterations) for rng in streams])
 
-    best = None
-    for r in range(params.restarts):
-        key = base if r == 0 else base_tuple + (r,)
-        result = _single_search(target, params, key)
-        if best is None or _outranks(result, best):
-            best = result
-    return best
+    rows = np.arange(n)
+    eye = np.eye(2, dtype=complex)
+    acc = np.broadcast_to(eye, (n, 2, 2))  # product of each row's accepted sequence
+    best = np.full(n, distance(target, eye, params.metric))  # empty sequence baseline
+    prev = np.full(n, -1)
+    taken = np.full((n, params.iterations), -1)  # accepted alphabet index per step
+    for step in range(params.iterations):
+        trials = _ALPHABET_STACK @ acc[:, None]  # (n, 11, 2, 2)
+        scores = distances(target, trials, params.metric)
+        has_prev = prev >= 0
+        scores[has_prev, prev[has_prev]] = UNSCORED  # would invite x·x = id style cancellation
+        # ascending by score, ties by alphabet position (keeps runs reproducible)
+        order = np.argsort(scores, axis=1, kind="stable")
+        pick = order[rows, draws[:, step]]
+        score = scores[rows, pick]
+        took = score < best
+        prev[took] = taken[took, step] = pick[took]
+        best[took] = score[took]
+        acc = np.where(took[:, None, None], trials[rows, pick], acc)
+
+    winner = None
+    for picks, dist in zip(taken, best):
+        result = GreedyResult(tuple(ALPHABET[i] for i in picks if i >= 0), float(dist))
+        if winner is None or _outranks(result, winner):
+            winner = result
+    return winner
 
 
 def _outranks(a: "GreedyResult", b: "GreedyResult") -> bool:
@@ -103,33 +126,6 @@ def _outranks(a: "GreedyResult", b: "GreedyResult") -> bool:
     if a.final_dist < b.final_dist - RANK_ATOL:
         return True
     return a.final_dist <= b.final_dist + RANK_ATOL and len(a.sequence) < len(b.sequence)
-
-
-def _single_search(target: np.ndarray, params: GreedyParams, seed_key) -> GreedyResult:
-    rng = np.random.default_rng(seed_key)
-    acc = np.eye(2, dtype=complex)  # product of the accepted sequence
-    sequence: list[GateKind] = []
-    final_dist = distance(target, acc, params.metric)  # empty sequence baseline
-    prev: GateKind | None = None
-
-    for _ in range(params.iterations):
-        scores = [UNSCORED] * len(ALPHABET)
-        for idx, kind in enumerate(ALPHABET):
-            if kind is prev:
-                continue  # would invite x·x = id style cancellation
-            trial = _ALPHABET_MATS[idx] @ acc
-            scores[idx] = distance(target, trial, params.metric)
-        # ascending by score, ties by alphabet position (keeps runs reproducible)
-        order = sorted(range(len(ALPHABET)), key=lambda i: (scores[i], i))
-        top = order[: params.top_k]
-        pick = top[int(rng.integers(len(top)))]
-        if scores[pick] < final_dist:
-            prev = ALPHABET[pick]
-            final_dist = scores[pick]
-            sequence.append(prev)
-            acc = _ALPHABET_MATS[pick] @ acc
-
-    return GreedyResult(tuple(sequence), final_dist)
 
 
 def exhaustive_oracle(
@@ -148,7 +144,6 @@ def exhaustive_oracle(
     if not 0 <= max_len <= 5:
         raise ValueError(f"max_len must be in 0..5, got {max_len}")
 
-    alpha = np.stack(_ALPHABET_MATS)  # (11, 2, 2)
     n = len(ALPHABET)
     best_word: tuple[GateKind, ...] = ()
     best_dist = distance(target, np.eye(2, dtype=complex), metric)
@@ -156,15 +151,11 @@ def exhaustive_oracle(
     products = np.eye(2, dtype=complex)[None]  # (1, 2, 2): the empty word
     for length in range(1, max_len + 1):
         # append each alphabet gate to each existing product (circuit order)
-        products = np.einsum("gij,mjk->gmik", alpha, products).reshape(-1, 2, 2)
-        overlaps = np.einsum("mij,ij->m", products.conj(), target)
-        if metric is DistanceMetric.LITERAL_REAL:
-            dists = 1.0 - overlaps.real / 2.0
-        else:
-            dists = 1.0 - np.abs(overlaps) / 2.0
+        products = np.einsum("gij,mjk->gmik", _ALPHABET_STACK, products).reshape(-1, 2, 2)
+        dists = distances(target, products, metric)
         m = int(np.argmin(dists))
         if dists[m] < best_dist - 1e-15:
-            best_dist = max(0.0, float(dists[m]))
+            best_dist = float(dists[m])
             # base-11 decode; the least significant digit is the first-applied
             # gate, so reading digits LSB-first gives circuit order directly
             digits = []

@@ -36,11 +36,6 @@ def _require_square(m: np.ndarray, name: str) -> None:
         raise ValueError(f"{name} must be a square matrix, got shape {m.shape}")
 
 
-def _require_same_dim(a: np.ndarray, b: np.ndarray) -> None:
-    if a.shape != b.shape:
-        raise ValueError(f"dimension mismatch: {a.shape} vs {b.shape}")
-
-
 def check_unitary(m: np.ndarray, atol: float = UNITARY_ATOL) -> np.ndarray:
     """Return ``m`` unchanged, raising ValueError when it is not unitary."""
     _require_square(m, "matrix")
@@ -50,13 +45,28 @@ def check_unitary(m: np.ndarray, atol: float = UNITARY_ATOL) -> np.ndarray:
     return m
 
 
-def trace_overlap(u: np.ndarray, v: np.ndarray) -> complex:
-    """Tr(V†U), the (complex) overlap between target u and candidate v."""
-    _require_square(u, "u")
-    _require_square(v, "v")
-    _require_same_dim(u, v)
+def distances(
+    u: np.ndarray,
+    vs: np.ndarray,
+    metric: DistanceMetric = DistanceMetric.PHASE_INVARIANT,
+) -> np.ndarray:
+    """``distance`` from target ``u`` to each candidate of a (..., dim, dim) stack.
+
+    Each Tr(V†U) is summed over the flattened matrix and |Tr| is
+    ``hypot(Re, Im)``, so a candidate's distance does not depend on the
+    shape of the stack it sits in, down to the last bit.
+    """
+    if vs.shape[-2:] != u.shape:
+        raise ValueError(f"dimension mismatch: {u.shape} vs {vs.shape[-2:]}")
+    dim = u.shape[0]
     # Tr(V†U) = sum_ij conj(V_ij) U_ij, cheaper than forming V†U.
-    return complex(np.sum(v.conj() * u))
+    tr = (vs.conj() * u).reshape(*vs.shape[:-2], dim * dim).sum(-1)
+    if metric is DistanceMetric.LITERAL_REAL:
+        d = 1.0 - tr.real / dim
+    else:
+        d = 1.0 - np.hypot(tr.real, tr.imag) / dim
+    # |Tr| <= dim exactly; clamp the float noise below zero.
+    return np.maximum(0.0, d)
 
 
 def distance(
@@ -69,11 +79,6 @@ def distance(
     ``PHASE_INVARIANT`` uses |Tr|, ``LITERAL_REAL`` uses Re(Tr). Either way
     the result is 0 when v equals u (up to global phase for the former).
     """
-    tr = trace_overlap(u, v)
-    dim = u.shape[0]
-    if metric is DistanceMetric.LITERAL_REAL:
-        d = 1.0 - tr.real / dim
-    else:
-        d = 1.0 - abs(tr) / dim
-    # |Tr| <= dim exactly; clamp the float noise below zero.
-    return max(0.0, d)
+    _require_square(u, "u")
+    _require_square(v, "v")
+    return float(distances(u, v, metric))

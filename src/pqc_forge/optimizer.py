@@ -35,8 +35,6 @@ from .matrix import distance
 
 GLOBAL_CHECK_MAX_QUBITS = 6
 
-_SPLITTABLE = (GateKind.RX, GateKind.RY, GateKind.RZ, GateKind.R3)
-
 
 class OptimizeMode(Enum):
     PER_GATE = "per-gate"
@@ -120,18 +118,6 @@ def _metrics_triplet(m: CircuitMetrics) -> dict:
     }
 
 
-def _split_factors(op: Op) -> list[tuple[GateKind, float, bool]]:
-    """Rotation factors of one op in circuit order: [(kind, angle, trainable)]."""
-    if op.kind is GateKind.R3:
-        phi, theta, omega = op.angles
-        return [
-            (GateKind.RZ, phi, op.trainable),
-            (GateKind.RY, theta, op.trainable),
-            (GateKind.RZ, omega, op.trainable),
-        ]
-    return [(op.kind, op.angles[0], op.trainable)]
-
-
 def _splice(sequence, qubit: int) -> list[Op]:
     """Replacement ops for a wire: greedy result minus id, all frozen."""
     return [Op(kind, (qubit,)) for kind in sequence if kind is not GateKind.ID]
@@ -163,21 +149,21 @@ def optimize(c: Circuit, cfg: OptimizeConfig) -> tuple[Circuit, OptimizeReport]:
     slots: list[Op | _Run] = []
     open_runs: dict[int, _Run] = {}
     for pos, op in enumerate(c.ops):
-        if op.kind not in _SPLITTABLE:
+        if op.kind not in gates.ROTATION_KINDS:
             for q in op.qubits:
                 open_runs.pop(q, None)
             slots.append(op)
             continue
         q = op.qubits[0]
-        factors = _split_factors(op)
+        factors = gates.rotation_factors(op)
         multi = len(factors) > 1
-        for f_idx, (kind, angle, trainable) in enumerate(factors):
+        for f_idx, (kind, angle) in enumerate(factors):
             run = None if per_gate else open_runs.get(q)
             if run is None:
                 run = open_runs[q] = _Run(pos, f_idx if multi else None, q)
                 slots.append(run)
             run.factors.append((kind, angle))
-            run.kept_ops.append(op if not multi else Op(kind, op.qubits, (angle,), trainable))
+            run.kept_ops.append(op if not multi else Op(kind, op.qubits, (angle,), op.trainable))
 
     out_ops: list[Op] = []
     ledger: list[LedgerEntry] = []

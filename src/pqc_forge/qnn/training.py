@@ -54,15 +54,15 @@ from .data import Dataset
 from .model import Model
 
 TWO_PI = 2.0 * math.pi
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
 
 
 @dataclass(frozen=True)
 class TrainConfig:
     epochs: int = 50
     learning_rate: float = 1e-2
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     batch_size: int = 16
     seed: int = 0
 
@@ -95,20 +95,19 @@ class History:
 class Adam:
     """Plain Adam with bias correction, one slot per trained parameter."""
 
-    def __init__(self, n_params: int, cfg: TrainConfig):
-        self.cfg = cfg
+    def __init__(self, n_params: int, learning_rate: float):
+        self.learning_rate = learning_rate
         self.m = np.zeros(n_params)
         self.v = np.zeros(n_params)
         self.t = 0
 
     def step(self, params: np.ndarray, grad: np.ndarray) -> np.ndarray:
-        c = self.cfg
         self.t += 1
-        self.m = c.beta1 * self.m + (1 - c.beta1) * grad
-        self.v = c.beta2 * self.v + (1 - c.beta2) * grad**2
-        m_hat = self.m / (1 - c.beta1**self.t)
-        v_hat = self.v / (1 - c.beta2**self.t)
-        return params - c.learning_rate * m_hat / (np.sqrt(v_hat) + c.eps)
+        self.m = ADAM_BETA1 * self.m + (1 - ADAM_BETA1) * grad
+        self.v = ADAM_BETA2 * self.v + (1 - ADAM_BETA2) * grad**2
+        m_hat = self.m / (1 - ADAM_BETA1**self.t)
+        v_hat = self.v / (1 - ADAM_BETA2**self.t)
+        return params - self.learning_rate * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
 
 
 def trainable_slots(c: Circuit) -> list[tuple[int, int]]:
@@ -209,15 +208,11 @@ _GENERATOR = {
 
 
 def _factors(op: Op) -> list[tuple[np.ndarray, np.ndarray]]:
-    """(Pauli generator, 2×2 matrix) of every angle of a trainable op, circuit order.
-
-    rx/ry/rz are one factor; a three-angle r gate is rz(φ), ry(θ), rz(ω).
-    """
-    if op.kind is GateKind.R3:
-        phi, theta, omega = op.angles
-        z, y = _GENERATOR[GateKind.RZ], _GENERATOR[GateKind.RY]
-        return [(z, gates.rz(phi)), (y, gates.ry(theta)), (z, gates.rz(omega))]
-    return [(_GENERATOR[op.kind], gates.unitary(op.kind, op.angles))]
+    """(Pauli generator, 2×2 matrix) of every angle of a trainable op, circuit order."""
+    return [
+        (_GENERATOR[kind], gates.unitary(kind, (angle,)))
+        for kind, angle in gates.rotation_factors(op)
+    ]
 
 
 def loss_and_gradient(
@@ -238,14 +233,7 @@ def _loss_and_gradients(
     """``loss_and_gradient`` plus the readout gradient (d/dscale, d/dbias)."""
     ops = model.ansatz.ops
     slots = trainable_slots(model.ansatz)
-    mats = [None if op.kind is GateKind.CNOT else gates.unitary(op.kind, op.angles) for op in ops]
-
-    states = encode_batch(model, x)
-    for op, u in zip(ops, mats):
-        if u is None:
-            states = sim.apply_cnot_batch(states, *op.qubits)
-        else:
-            states = sim.apply_1q_batch(states, u, op.qubits[0])
+    states = sim.run_batch(model.ansatz, encode_batch(model, x))
     expect = _expect_z(model, states)
     probs = softmax(model.readout_scale * expect + model.readout_bias)
     loss = _cross_entropy(probs, y)
@@ -272,12 +260,12 @@ def _loss_and_gradients(
     s = len(slots)
     for i in range(len(ops) - 1, slots[0][0] - 1, -1):
         op = ops[i]
-        if mats[i] is None:
+        if op.kind is GateKind.CNOT:
             pair = sim.apply_cnot_batch(pair, *op.qubits)  # cnot is its own inverse
             continue
         q = op.qubits[0]
         if not op.trainable:
-            pair = sim.apply_1q_batch(pair, mats[i].conj().T, q)
+            pair = sim.apply_1q_batch(pair, gates.unitary(op.kind, op.angles).conj().T, q)
             continue
         for generator, u in reversed(_factors(op)):
             # d⟨O⟩/dθ = Im⟨λ|P|ψ⟩ just after the factor exp(-iθP/2)
@@ -314,7 +302,7 @@ def train(model: Model, dataset: Dataset, cfg: TrainConfig) -> tuple[Model, Hist
     params = np.concatenate(
         [get_params(model.ansatz), model.readout_scale, model.readout_bias]
     )
-    adam = Adam(len(params), cfg)
+    adam = Adam(len(params), cfg.learning_rate)
     train_x, train_y = dataset.train_x, dataset.train_y
     test_x, test_y = dataset.test_x, dataset.test_y
 

@@ -286,6 +286,7 @@ def test_retrain_zero_parameters_warns(runner, tmp_path):
     [
         ("optimize", ["--tolerance", "0"], "tolerance must be in (0, 1], got 0.0"),
         ("optimize", ["--tolerance", "0.05", "--iters", "0"], "iterations must be >= 1, got 0"),
+        ("sweep", ["--tolerances", "0.1,0"], "tolerance must be in (0, 1], got 0.0"),
         ("retrain", ["--epochs", "0"], "epochs must be >= 1, got 0"),
         (
             "train",
@@ -293,14 +294,24 @@ def test_retrain_zero_parameters_warns(runner, tmp_path):
             "3 classes need at least that many qubits, got 2",
         ),
     ],
-    ids=["optimize-tolerance-0", "optimize-iters-0", "retrain-epochs-0", "train-qubits-2"],
+    ids=[
+        "optimize-tolerance-0",
+        "optimize-iters-0",
+        "sweep-later-tolerance-0",
+        "retrain-epochs-0",
+        "train-qubits-2",
+    ],
 )
 def test_invalid_config_values_exit_2(runner, tmp_path, command, flags, message):
     path = tmp_path / "model.qc"
     iris = qnn.load_dataset("iris")
     spec = qnn.LayerSpec(qnn.LayerKind.BASIC_ENTANGLER, 1, 4)
     qnn.save_model(qnn.build_model(spec, iris), path)
-    where = {"optimize": ["--in", str(path)], "retrain": ["--model", str(path)]}.get(command, [])
+    where = {
+        "optimize": ["--in", str(path)],
+        "sweep": ["--in", str(path)],
+        "retrain": ["--model", str(path)],
+    }.get(command, [])
     result = runner.invoke(main, [command, *where, *flags, "--out", str(tmp_path / "out.qc")])
     assert result.exit_code == 2
     assert "Traceback" not in result.output

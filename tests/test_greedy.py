@@ -16,6 +16,35 @@ from pqc_forge.matrix import DistanceMetric, distance
 
 QUARTER_BAND_BOUND = 1 - math.cos(math.pi / 8)  # best single gate off-grid
 
+P, L = DistanceMetric.PHASE_INVARIANT, DistanceMetric.LITERAL_REAL
+KINDS = {"rx": GateKind.RX, "ry": GateKind.RY, "rz": GateKind.RZ, "r": GateKind.R3}
+
+# Words and exact distances of the per-restart, per-candidate search this
+# kernel replaced; any changed search decision fails this table.
+PINNED = [
+    # gate, angles, metric, top_k, restarts, iterations, seed key, word, final_dist.hex()
+    ("rx", (1.2,), P, 4, 8, 20, None, "sx", "0x1.18c612b7389e0p-6"),
+    ("rx", (1.2,), L, 4, 8, 20, None, "", "0x1.65b670ede93acp-3"),
+    ("ry", (1.7,), P, 1, 1, 20, 0, "y", "0x1.fd60b2ee5fdf4p-3"),
+    ("ry", (1.7,), L, 1, 1, 20, 0, "", "0x1.5c2d60d20d1cap-2"),
+    ("rz", (-2.2,), P, 11, 8, 20, 5, "sdg tdg", "0x1.8f83419e50d00p-9"),
+    ("rz", (-2.2,), L, 11, 8, 20, 5, "tdg", "0x1.30e34eae7a6ccp-2"),
+    ("rx", (2.9,), P, 11, 1, 20, (7, 3), "sxdg x sx", "0x1.dd8fb92de1200p-8"),
+    ("rx", (2.9,), L, 1, 8, 20, (7, 3), "sx tdg", "0x1.4ffd5711ce8b4p-2"),
+    ("r", (1.4, 2.1, -0.7), P, 4, 8, 20, (0, 12, 1), "sx t", "0x1.48e760bae6460p-5"),
+    ("r", (1.4, 2.1, -0.7), L, 4, 8, 20, (0, 12, 1), "sx", "0x1.8f72bdce176f0p-2"),
+    ("r", (-2.5, 0.2, 3.0), P, 1, 8, 20, (3, 14, 2), "t", "0x1.ef1a07e75af40p-7"),
+    ("r", (-2.5, 1.2, 3.0), L, 11, 1, 20, (3, 14, 2), "", "0x1.9a42753050658p-3"),
+    ("r", (1.9, -1.3, 0.05), P, 11, 8, 30, (11, 0, 0), "sxdg s", "0x1.7f708cfe4d800p-6"),
+    ("r", (1.9, -1.3, 0.05), L, 1, 1, 30, (11, 0, 0), "t sxdg t", "0x1.afc961405f160p-4"),
+    ("ry", (-1.9,), P, 4, 1, 5, 9, "y", "0x1.7e200306f6644p-3"),
+    ("rz", (0.01,), P, 4, 8, 20, 2, "", "0x1.a36df56da0000p-17"),
+    ("rx", (3.1,), P, 6, 3, 12, (1, 2), "sxdg x sx", "0x1.c57ab78498000p-13"),
+    ("r", (0.7, 2.4, -1.6), P, 2, 5, 25, (42, 7, 2), "x t", "0x1.17dfee4528bf8p-4"),
+    ("r", (0.7, 2.4, -1.6), L, 7, 8, 25, (42, 7, 2), "tdg sx", "0x1.3d7ce31e71f88p-3"),
+    ("ry", (2.2,), P, 4, 8, 20, (4,), "y", "0x1.bd9d59e94e640p-4"),
+]
+
 
 def best_over_seeds(target, seeds=range(10), **kw):
     return min(
@@ -48,6 +77,16 @@ def test_rx_quarter_pi_hits_single_gate_bound():
     for seed in range(10):
         res = param_gate_transform(rx(math.pi / 4), GreedyParams(seed=seed))
         assert res.final_dist <= QUARTER_BAND_BOUND + 1e-9
+
+
+@pytest.mark.parametrize(
+    "gate, angles, metric, top_k, restarts, iterations, key, word, dist_hex", PINNED
+)
+def test_pinned_searches(gate, angles, metric, top_k, restarts, iterations, key, word, dist_hex):
+    params = GreedyParams(iterations, top_k, metric, seed=0, restarts=restarts)
+    res = param_gate_transform(unitary(KINDS[gate], angles), params, seed_key=key)
+    assert " ".join(res.mnemonics()) == word
+    assert res.final_dist.hex() == dist_hex
 
 
 def test_determinism():

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from pqc_forge.gates import ALPHABET, GateKind, rx, unitary
-from pqc_forge.matrix import DistanceMetric, check_unitary, distance
+from pqc_forge.matrix import DistanceMetric, check_unitary, distance, distances
 
 I2 = np.eye(2, dtype=complex)
 X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -102,6 +102,29 @@ def test_distance_self_zero_for_catalog():
         u = unitary(kind)
         for mode in DistanceMetric:
             assert distance(u, u, mode) <= 1e-12
+
+
+def random_unitary(rng, dim):
+    q, r = np.linalg.qr(rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim)))
+    return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+@pytest.mark.parametrize("dim, shape", [(2, (3, 11)), (2, (40,)), (8, (5,)), (64, (2, 3))])
+def test_distances_match_distance_exactly(dim, shape):
+    rng = np.random.default_rng(dim)
+    u = random_unitary(rng, dim)
+    vs = np.stack([random_unitary(rng, dim) for _ in range(math.prod(shape))])
+    vs = vs.reshape(*shape, dim, dim)
+    vs[(0,) * len(shape)] = np.exp(0.3j) * u  # a zero-distance row under phase invariance
+    for mode in DistanceMetric:
+        got = distances(u, vs, mode)
+        assert got.shape == shape
+        for idx in np.ndindex(*shape):
+            # the one-pair reduction, written out: np.sum over the matrix, Python abs
+            tr = complex(np.sum(vs[idx].conj() * u))
+            literal = mode is DistanceMetric.LITERAL_REAL
+            expected = max(0.0, 1.0 - (tr.real if literal else abs(tr)) / dim)
+            assert got[idx] == distance(u, vs[idx], mode) == expected
 
 
 def test_distance_dimension_mismatch():
