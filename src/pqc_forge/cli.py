@@ -1,12 +1,16 @@
 """pqc-forge command line: approximate, optimize, measure, train, evaluate.
 
 Every command is a thin adapter over one library operation. Reports are
-JSON, tables are CSV; each output file embeds a run manifest (command,
-resolved flags, seeds, version, timestamp) or gets one written beside it,
-so any artifact can be traced back to the exact invocation. Seeds default
-to 0 (or the PQC_FORGE_SEED environment variable), never to entropy.
+JSON, tables are CSV; each output file embeds a run manifest or gets one
+written beside it. A manifest holds the command, every resolved flag
+under its flag spelling (``top-k``, ``batch-size``; a flag left unset
+with no default is omitted), the seed, the version and a timestamp, so
+any artifact can be traced back to the exact invocation. ``--seed``
+defaults to $PQC_FORGE_SEED, then 0, never to entropy.
 
-Exit codes: 0 success, 1 evaluation/input failure, 2 usage error.
+Exit codes: 0 success; 1 an input or evaluation failure (an unreadable
+or malformed file, a model that does not fit its data), reported as one
+``error:`` line; 2 a usage error (a bad flag value), reported by click.
 """
 
 # Tiny 2xN gate kernels gain nothing from BLAS threads and lose badly to
@@ -40,23 +44,14 @@ _MODES = {m.value: m for m in OptimizeMode}
 _LAYER_KINDS = {k.value: k for k in qnn.LayerKind}
 
 
-def _env_seed() -> int:
-    raw = os.environ.get("PQC_FORGE_SEED", "0")
-    try:
-        return int(raw)
-    except ValueError:
-        raise click.UsageError(f"PQC_FORGE_SEED must be an integer, got {raw!r}")
-
-
-def _resolve_seed(seed: int | None) -> int:
-    return _env_seed() if seed is None else seed
-
-
-def _manifest(command: str, flags: dict, seed: int) -> dict:
+def _manifest() -> dict:
+    """Run manifest of the current command: every resolved flag, keyed by its spelling."""
+    ctx = click.get_current_context()
+    flags = {p.opts[0].lstrip("-"): ctx.params[p.name] for p in ctx.command.params}
     return {
-        "command": command,
+        "command": ctx.info_name,
         "flags": {k: v for k, v in flags.items() if v is not None},
-        "seed": seed,
+        "seed": ctx.params.get("seed", 0),
         "version": __version__,
         "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S%z"),
     }
@@ -77,11 +72,6 @@ def _write_csv(path, rows: list[dict], manifest: dict) -> None:
     _write_json(Path(str(path) + ".manifest.json"), manifest)
 
 
-def _fail(message: str) -> None:
-    click.echo(f"error: {message}", err=True)
-    sys.exit(1)
-
-
 @contextmanager
 def _usage_errors():
     """A config that rejects a flag value is a usage error: exit 2."""
@@ -91,31 +81,54 @@ def _usage_errors():
         raise click.UsageError(str(exc)) from None
 
 
-def _load_circuit(path) -> circ.Circuit:
+def _load(what: str, fn, *args):
+    """``fn(*args)``, with a failure reworded as ``cannot load <what>: …``."""
     try:
-        return circ.load(path)
+        return fn(*args)
     except (OSError, ValueError) as exc:
-        _fail(f"cannot load circuit {path}: {exc}")
+        raise ValueError(f"cannot load {what}: {exc}") from None
 
 
-def _load_dataset(name, path, seed):
-    try:
-        return qnn.load_dataset(name, path=path, seed=seed)
-    except (OSError, ValueError) as exc:
-        _fail(f"cannot load dataset {name}: {exc}")
+def _model_and_dataset(model_path, dataset, data_path):
+    """A saved model and its split of ``dataset`` (default: the one it was trained on)."""
+    model = _load(f"model {model_path}", qnn.load_model, model_path)
+    name = dataset or model.dataset_name
+    ds = _load(f"dataset {name}", qnn.load_dataset, name, data_path, model.split_seed)
+    if ds.n_features != model.feature_count:
+        raise ValueError(
+            f"model {model_path} encodes {model.feature_count} features, "
+            f"dataset {name} has {ds.n_features}"
+        )
+    return model, ds
 
 
-def _load_model(path):
-    try:
-        return qnn.load_model(path)
-    except (OSError, ValueError) as exc:
-        _fail(f"cannot load model {path}: {exc}")
+def _finite(ctx, param, value):
+    if value is not None and not np.all(np.isfinite(value)):
+        raise click.BadParameter(f"must be finite, got {value}")
+    return value
 
 
-@click.group()
+class _Main(click.Group):
+    """An input failure escaping any command is one ``error:`` line and exit 1."""
+
+    def invoke(self, ctx):
+        try:
+            return super().invoke(ctx)
+        except (OSError, ValueError) as exc:
+            click.echo(f"error: {exc}", err=True)
+            ctx.exit(1)
+
+
+@click.group(cls=_Main)
 @click.version_option(__version__, prog_name="pqc-forge")
 def main():
     """Greedy non-parametric optimization of parametric quantum circuits."""
+
+
+_seed_option = click.option(
+    "--seed", type=int, default=0, envvar="PQC_FORGE_SEED",
+    help="Default: $PQC_FORGE_SEED or 0.",
+)
 
 
 def _greedy_flags(func):
@@ -129,20 +142,20 @@ def _greedy_flags(func):
         default=_GREEDY_DEFAULTS.metric.value,
         show_default=True,
     )(func)
-    func = click.option(
-        "--seed", type=int, default=None, help="Default: $PQC_FORGE_SEED or 0."
-    )(func)
-    return func
+    return _seed_option(func)
 
 
 @main.command("approx-gate")
 @click.option("--gate", type=click.Choice(["rx", "ry", "rz"]), required=True)
-@click.option("--angle", type=float, default=None, help="Rotation angle in radians.")
+@click.option(
+    "--angle", type=float, default=None, callback=_finite, help="Rotation angle in radians."
+)
 @click.option(
     "--angle-grid",
     nargs=3,
     type=float,
     default=None,
+    callback=_finite,
     help="START STOP STEP grid of angles (inclusive of STOP).",
 )
 @_greedy_flags
@@ -151,7 +164,6 @@ def cmd_approx_gate(gate, angle, angle_grid, iters, top_k, metric, seed, restart
     """Approximate one rotation gate by fixed gates; report the distances."""
     if (angle is None) == (angle_grid is None):
         raise click.UsageError("give exactly one of --angle or --angle-grid")
-    seed = _resolve_seed(seed)
     with _usage_errors():
         params = GreedyParams(
             iterations=iters, top_k=top_k, metric=_METRICS[metric], seed=seed,
@@ -197,17 +209,14 @@ def cmd_approx_gate(gate, angle, angle_grid, iters, top_k, metric, seed, restart
 @click.option("--json", "json_path", type=click.Path(), default=None)
 def cmd_metrics(in_path, json_path):
     """Depth / gate-count / parameter metrics of a circuit file."""
-    c = _load_circuit(in_path)
-    m = circ.metrics(c)
+    m = circ.metrics(_load(f"circuit {in_path}", circ.load, in_path))
     click.echo(f"logical depth:         {m.logical_depth}")
     click.echo(f"logical gate count:    {m.logical_gate_count}")
     click.echo(f"decomposed depth:      {m.decomposed_depth}")
     click.echo(f"decomposed gate count: {m.decomposed_gate_count}")
     click.echo(f"remaining parameters:  {m.remaining_parameters}")
     if json_path:
-        payload = dict(m.as_dict())
-        payload["manifest"] = _manifest("metrics", {"in": str(in_path)}, seed=0)
-        _write_json(json_path, payload)
+        _write_json(json_path, {**m.as_dict(), "manifest": _manifest()})
 
 
 @main.command("optimize")
@@ -224,28 +233,17 @@ def cmd_metrics(in_path, json_path):
 @click.option("--report", "report_path", type=click.Path(), default=None)
 def cmd_optimize(in_path, tolerance, mode, iters, top_k, metric, seed, out_path, report_path):
     """Replace parametric gates whose approximation beats the tolerance."""
-    seed = _resolve_seed(seed)
     with _usage_errors():
         cfg = OptimizeConfig(
             tolerance=tolerance,
             greedy=GreedyParams(iters, top_k, _METRICS[metric], seed),
             mode=_MODES[mode],
         )
-    c = _load_circuit(in_path)
-    try:
-        new_c, report = optimize(c, cfg)
-    except ValueError as exc:
-        _fail(str(exc))
+    new_c, report = optimize(_load(f"circuit {in_path}", circ.load, in_path), cfg)
     out_path = out_path or str(Path(in_path).with_suffix(".opt.qc"))
     report_path = report_path or str(Path(out_path).with_suffix(".report.json"))
     circ.save(new_c, out_path)
-    payload = report.as_dict()
-    payload["manifest"] = _manifest(
-        "optimize",
-        {"in": str(in_path), "tolerance": tolerance, "mode": mode, "out": out_path},
-        seed,
-    )
-    _write_json(report_path, payload)
+    _write_json(report_path, {**report.as_dict(), "manifest": _manifest()})
     # a model circuit keeps its sidecar usable after optimization
     side = sidecar_path(in_path)
     if side.exists():
@@ -276,7 +274,6 @@ def cmd_optimize(in_path, tolerance, mode, iters, top_k, metric, seed, out_path,
 @click.option("--out", "out_path", type=click.Path(), default=None)
 def cmd_sweep(in_path, tolerances, mode, iters, top_k, metric, seed, dataset, data_path, out_path):
     """Optimize at several tolerances; emit one CSV row per tolerance."""
-    seed = _resolve_seed(seed)
     try:
         tols = [float(t) for t in tolerances.split(",") if t.strip()]
     except ValueError:
@@ -287,28 +284,17 @@ def cmd_sweep(in_path, tolerances, mode, iters, top_k, metric, seed, dataset, da
         greedy = GreedyParams(iters, top_k, _METRICS[metric], seed)
         # every tolerance is checked here, before any pass runs
         cfgs = [OptimizeConfig(tolerance=t, greedy=greedy, mode=_MODES[mode]) for t in tols]
-    c = _load_circuit(in_path)
+    c = _load(f"circuit {in_path}", circ.load, in_path)
     evaluate = None
     if dataset is not None:
-        if not sidecar_path(in_path).exists():
-            _fail(f"--dataset needs a model sidecar next to {in_path}")
-        model = _load_model(in_path)
-        ds = _load_dataset(dataset, data_path, model.split_seed)
+        model, ds = _model_and_dataset(in_path, dataset, data_path)
 
         def evaluate(opt_circuit):
             return qnn.accuracy(model.with_ansatz(opt_circuit), ds.test_x, ds.test_y)
 
-    try:
-        rows = sweep(c, tols, cfgs[0], evaluate=evaluate)
-    except ValueError as exc:
-        _fail(str(exc))
-    manifest = _manifest(
-        "sweep",
-        {"in": str(in_path), "tolerances": tolerances, "dataset": dataset, "mode": mode},
-        seed,
-    )
+    rows = sweep(c, tols, cfgs[0], evaluate=evaluate)
     if out_path:
-        _write_csv(out_path, rows, manifest)
+        _write_csv(out_path, rows, _manifest())
         click.echo(f"wrote {out_path}")
     else:
         writer = csv.DictWriter(sys.stdout, fieldnames=list(rows[0].keys()))
@@ -330,30 +316,20 @@ def cmd_sweep(in_path, tolerances, mode, iters, top_k, metric, seed, dataset, da
 @click.option("--epochs", type=int, default=_TRAIN_DEFAULTS.epochs, show_default=True)
 @click.option("--lr", type=float, default=_TRAIN_DEFAULTS.learning_rate, show_default=True)
 @click.option("--batch-size", type=int, default=_TRAIN_DEFAULTS.batch_size, show_default=True)
-@click.option("--seed", type=int, default=None, help="Default: $PQC_FORGE_SEED or 0.")
+@_seed_option
 @click.option("--out", "out_path", type=click.Path(), required=True)
 def cmd_train(dataset, data_path, layer_kind, layers, qubits, epochs, lr, batch_size, seed, out_path):
     """Train a fresh layered model; write circuit + sidecar + history."""
-    seed = _resolve_seed(seed)
     with _usage_errors():
         spec = qnn.LayerSpec(_LAYER_KINDS[layer_kind], layers, qubits)
         cfg = qnn.TrainConfig(
             epochs=epochs, learning_rate=lr, batch_size=batch_size, seed=seed
         )
-    ds = _load_dataset(dataset, data_path, seed)
+    ds = _load(f"dataset {dataset}", qnn.load_dataset, dataset, data_path, seed)
     with _usage_errors():
         model = qnn.build_model(spec, ds, seed=seed)
-    try:
-        model, history = qnn.train(model, ds, cfg)
-    except ValueError as exc:
-        _fail(str(exc))
-    manifest = _manifest(
-        "train",
-        {"dataset": dataset, "layer_kind": layer_kind, "layers": layers,
-         "qubits": qubits, "epochs": epochs, "lr": lr, "batch_size": batch_size,
-         "out": str(out_path)},
-        seed,
-    )
+    model, history = qnn.train(model, ds, cfg)
+    manifest = _manifest()
     qnn.save_model(model, out_path, extra={"manifest": manifest})
     hist_path = Path(str(out_path)).with_suffix(".history.json")
     _write_json(hist_path, {**history.as_dict(), "manifest": manifest})
@@ -372,26 +348,19 @@ def cmd_train(dataset, data_path, layer_kind, layers, qubits, epochs, lr, batch_
 @click.option("--epochs", type=int, default=20, show_default=True)
 @click.option("--lr", type=float, default=_TRAIN_DEFAULTS.learning_rate, show_default=True)
 @click.option("--batch-size", type=int, default=_TRAIN_DEFAULTS.batch_size, show_default=True)
-@click.option("--seed", type=int, default=None, help="Default: $PQC_FORGE_SEED or 0.")
+@_seed_option
 @click.option("--out", "out_path", type=click.Path(), required=True)
 def cmd_retrain(model_path, dataset, data_path, epochs, lr, batch_size, seed, out_path):
     """Re-train the surviving parameters of an optimized model."""
-    seed = _resolve_seed(seed)
     with _usage_errors():
         cfg = qnn.TrainConfig(
             epochs=epochs, learning_rate=lr, batch_size=batch_size, seed=seed
         )
-    model = _load_model(model_path)
-    ds = _load_dataset(dataset or model.dataset_name, data_path, model.split_seed)
+    model, ds = _model_and_dataset(model_path, dataset, data_path)
     model, history = qnn.retrain(model, ds, cfg)
     for warning in history.warnings:
         click.echo(f"warning: {warning}", err=True)
-    manifest = _manifest(
-        "retrain",
-        {"model": str(model_path), "dataset": ds.name, "epochs": epochs,
-         "lr": lr, "batch_size": batch_size, "out": str(out_path)},
-        seed,
-    )
+    manifest = _manifest()
     qnn.save_model(model, out_path, extra={"manifest": manifest})
     hist_path = Path(str(out_path)).with_suffix(".history.json")
     _write_json(hist_path, {**history.as_dict(), "manifest": manifest})
@@ -408,12 +377,7 @@ def cmd_retrain(model_path, dataset, data_path, epochs, lr, batch_size, seed, ou
 @click.option("--data", "data_path", type=click.Path(), default=None)
 def cmd_eval(model_path, dataset, data_path):
     """Accuracy of a saved model on its dataset."""
-    model = _load_model(model_path)
-    ds = _load_dataset(dataset or model.dataset_name, data_path, model.split_seed)
-    try:
-        scores = qnn.evaluate(model, ds)
-    except ValueError as exc:
-        _fail(str(exc))
+    scores = qnn.evaluate(*_model_and_dataset(model_path, dataset, data_path))
     click.echo(f"train accuracy: {scores['train_accuracy']:.4f}")
     click.echo(f"test accuracy:  {scores['test_accuracy']:.4f}")
 

@@ -69,8 +69,6 @@ ALPHABET: tuple[GateKind, ...] = (
     GateKind.TDG,
 )
 
-ALPHABET_INDEX: dict[GateKind, int] = {g: i for i, g in enumerate(ALPHABET)}
-
 ROTATION_KINDS = frozenset({GateKind.RX, GateKind.RY, GateKind.RZ, GateKind.R3})
 
 N_ANGLES: dict[GateKind, int] = {kind: 0 for kind in GateKind}

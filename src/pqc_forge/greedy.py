@@ -136,8 +136,10 @@ def exhaustive_oracle(
     """Globally best alphabet word of length <= max_len for ``target``.
 
     Pure brute force (11^max_len products), vectorized; max_len is capped
-    at 5 to keep it instant. Ties go to the shortest word, resolved
-    deterministically within a length, so repeat calls agree exactly.
+    at 5 to keep it instant. Distances within RANK_ATOL tie: within a
+    length the first such word in enumeration order wins, and a longer
+    word wins only by more than RANK_ATOL. So the word does not turn on
+    rounding noise, such as a global phase on ``target``.
     """
     if target.shape != (2, 2):
         raise ValueError(f"target must be 2x2, got {target.shape}")
@@ -153,8 +155,9 @@ def exhaustive_oracle(
         # append each alphabet gate to each existing product (circuit order)
         products = np.einsum("gij,mjk->gmik", _ALPHABET_STACK, products).reshape(-1, 2, 2)
         dists = distances(target, products, metric)
-        m = int(np.argmin(dists))
-        if dists[m] < best_dist - 1e-15:
+        low = dists.min()
+        if low < best_dist - RANK_ATOL:
+            m = int(np.argmax(dists <= low + RANK_ATOL))
             best_dist = float(dists[m])
             # base-11 decode; the least significant digit is the first-applied
             # gate, so reading digits LSB-first gives circuit order directly

@@ -40,7 +40,7 @@ def check_unitary(m: np.ndarray, atol: float = UNITARY_ATOL) -> np.ndarray:
     """Return ``m`` unchanged, raising ValueError when it is not unitary."""
     _require_square(m, "matrix")
     off = np.max(np.abs(m.conj().T @ m - np.eye(m.shape[0])))
-    if off > atol:
+    if not off <= atol:  # also catches a NaN
         raise ValueError(f"matrix is not unitary: max |U†U - I| = {off:.3e}")
     return m
 

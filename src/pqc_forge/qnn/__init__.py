@@ -18,7 +18,6 @@ from .training import (
     accuracy,
     evaluate,
     forward,
-    gradient,
     loss_and_gradient,
     predict,
     retrain,
@@ -38,7 +37,6 @@ __all__ = [
     "encoding_ops",
     "evaluate",
     "forward",
-    "gradient",
     "load_dataset",
     "load_model",
     "loss_and_gradient",

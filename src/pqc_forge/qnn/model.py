@@ -204,8 +204,8 @@ def load_model(path) -> Model:
     """Read a circuit file plus sidecar back into a Model.
 
     Raises ValueError when the sidecar lacks a key, holds a value of the
-    wrong type, or disagrees with the circuit's qubit count, its own class
-    count or its feature count.
+    wrong type, counts fewer than one class or feature, or disagrees with
+    the circuit's qubit count, its own class count or its feature count.
     """
     path = Path(path)
     ansatz = circ.load(path)
@@ -219,14 +219,20 @@ def load_model(path) -> Model:
         raise ValueError(f"{side} is not a {SIDECAR_FORMAT} sidecar")
     try:
         n_qubits, n_classes = int(meta["n_qubits"]), int(meta["n_classes"])
+        feature_count = int(meta["feature_count"])
         if n_qubits != ansatz.n_qubits:
             raise ValueError(f"{side} says {n_qubits} qubits, the circuit has {ansatz.n_qubits}")
         if n_classes > n_qubits:
             raise ValueError(f"{side} reads {n_classes} classes out of {n_qubits} qubits")
+        if min(n_classes, feature_count) < 1:
+            raise ValueError(
+                f"{side} needs at least one class and one feature, "
+                f"got {n_classes} and {feature_count}"
+            )
         model = Model(
             ansatz=ansatz,
             n_classes=n_classes,
-            feature_count=int(meta["feature_count"]),
+            feature_count=feature_count,
             layer_kind=meta["layer"]["kind"],
             layers=int(meta["layer"]["layers"]),
             lo=np.asarray(meta["normalization"]["lo"], dtype=float),
@@ -240,7 +246,7 @@ def load_model(path) -> Model:
         )
     except KeyError as exc:
         raise ValueError(f"{side} lacks the key {exc}") from None
-    except TypeError as exc:
+    except (TypeError, OverflowError) as exc:
         raise ValueError(f"{side} has a malformed entry: {exc}") from None
     for name in ("lo", "hi"):
         bounds = getattr(model, name)

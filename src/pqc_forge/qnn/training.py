@@ -69,8 +69,8 @@ class TrainConfig:
     def __post_init__(self):
         if self.epochs < 1:
             raise ValueError(f"epochs must be >= 1, got {self.epochs}")
-        if self.learning_rate <= 0:
-            raise ValueError(f"learning rate must be > 0, got {self.learning_rate}")
+        if not 0 < self.learning_rate < math.inf:
+            raise ValueError(f"learning rate must be finite and > 0, got {self.learning_rate}")
         if self.batch_size < 1:
             raise ValueError(f"batch size must be >= 1, got {self.batch_size}")
 
@@ -274,11 +274,6 @@ def _loss_and_gradients(
             grad[s] = float(np.vdot(pair[batch:], p_psi).imag)
             pair = sim.apply_1q_batch(pair, u.conj().T, q)
     return loss, grad, readout_grad
-
-
-def gradient(model: Model, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Adjoint-method gradient of the batch cross-entropy."""
-    return loss_and_gradient(model, x, y)[1]
 
 
 def train(model: Model, dataset: Dataset, cfg: TrainConfig) -> tuple[Model, History]:

@@ -11,8 +11,8 @@ contiguous; training loops hammer these kernels, so per-call overhead
 matters more than elegance here.
 
 All functions are pure: inputs are never mutated. The batched variants
-take an array of shape (batch, 2**n) and compute exactly what a loop
-over ``run`` would, just with the per-gate overhead amortized.
+take an array of shape (batch, 2**n); ``run`` is ``run_batch`` on one
+state, with a norm check.
 """
 
 from __future__ import annotations
@@ -114,7 +114,10 @@ def apply_rx_batch(states: np.ndarray, qubit: int, thetas: np.ndarray) -> np.nda
 
 
 def run(c: Circuit, initial: np.ndarray | None = None) -> np.ndarray:
-    """Apply every op of ``c`` in order; returns the final state."""
+    """Apply every op of ``c`` in order; returns the final state.
+
+    Raises ValueError when the state's norm drifts (a NaN included).
+    """
     dim = 1 << c.n_qubits
     if initial is None:
         initial = zero_state(c.n_qubits)
@@ -122,10 +125,7 @@ def run(c: Circuit, initial: np.ndarray | None = None) -> np.ndarray:
         raise ValueError(
             f"state has {initial.shape[0]} amplitudes, circuit wants {dim}"
         )
-    psi = np.asarray(initial, dtype=complex)[None, :]
-    for op in c.ops:
-        psi = _apply_flat(psi, op, c.n_qubits)
-    out = psi[0]
+    out = run_batch(c, initial[None, :])[0]
     drift = abs(np.linalg.norm(out) - np.linalg.norm(initial))
     if not drift <= NORM_ATOL:  # also catches a NaN
         raise ValueError(f"statevector norm drifted by {drift:.3e}")

@@ -76,6 +76,19 @@ def test_approx_gate_usage_errors(runner):
     )
     assert result.exit_code == 2
     assert "Error: restarts must be >= 1, got 0" in result.output
+    for flags, message in [
+        (["--angle", "inf"], "Invalid value for '--angle': must be finite, got inf"),
+        (["--angle", "nan"], "Invalid value for '--angle': must be finite, got nan"),
+        (
+            ["--angle-grid", "0", "1", "nan"],
+            "Invalid value for '--angle-grid': must be finite, got (0.0, 1.0, nan)",
+        ),
+    ]:
+        result = runner.invoke(main, ["approx-gate", "--gate", "rx", *flags])
+        assert result.exit_code == 2
+        assert "Traceback" not in result.output
+        errors = [line for line in result.output.splitlines() if line.startswith("Error:")]
+        assert errors == [f"Error: {message}"]
 
 
 def test_env_seed_fallback(runner):
@@ -84,6 +97,10 @@ def test_env_seed_fallback(runner):
     )
     with_flag = invoke(runner, "approx-gate", "--gate", "ry", "--angle", "1.0", "--seed", "5")
     assert with_env.output == with_flag.output
+    bad = runner.invoke(
+        main, ["approx-gate", "--gate", "ry", "--angle", "1.0"], env={"PQC_FORGE_SEED": "x"}
+    )
+    assert bad.exit_code == 2
 
 
 def test_metrics_reports_published_baseline(runner, tmp_path):
@@ -131,6 +148,21 @@ def test_optimize_writes_files_and_preserves_input(runner, tmp_path):
     assert payload["before"]["gates"] >= payload["after"]["gates"]
     assert payload["manifest"]["command"] == "optimize"
     circ.load(out)  # parses back
+
+
+def test_manifest_records_every_resolved_flag(runner, tmp_path):
+    path = tmp_path / "bel.qc"
+    write_bel(path, layers=1, n=2)
+    report = tmp_path / "report.json"
+    invoke(
+        runner, "optimize", "--in", str(path), "--tolerance", "0.05", "--iters", "5",
+        "--top-k", "2", "--seed", "3", "--report", str(report),
+    )
+    flags = json.loads(report.read_text())["manifest"]["flags"]
+    assert flags == {
+        "in": str(path), "tolerance": 0.05, "mode": "per-gate", "iters": 5,
+        "top-k": 2, "metric": "phase-invariant", "seed": 3, "report": str(report),
+    }
 
 
 def test_optimize_idempotent_modulo_timestamps(runner, tmp_path):
@@ -247,8 +279,19 @@ def test_sweep_dataset_without_sidecar_fails(runner, tmp_path):
             lambda meta: meta.update(normalization=None),
             "has a malformed entry: 'NoneType' object is not subscriptable",
         ),
+        (
+            lambda meta: meta.update(feature_count=0, normalization={"lo": [], "hi": []}),
+            "needs at least one class and one feature, got 3 and 0",
+        ),
+        (
+            lambda meta: meta.update(n_classes=0, readout_scale=[], readout_bias=[]),
+            "needs at least one class and one feature, got 0 and 4",
+        ),
     ],
-    ids=["missing-key", "qubit-count", "class-count", "bounds-length", "wrong-type"],
+    ids=[
+        "missing-key", "qubit-count", "class-count", "bounds-length", "wrong-type",
+        "no-features", "no-classes",
+    ],
 )
 def test_eval_rejects_bad_sidecar(runner, tmp_path, edit, message):
     path = tmp_path / "model.qc"
@@ -262,6 +305,21 @@ def test_eval_rejects_bad_sidecar(runner, tmp_path, edit, message):
     assert result.exit_code == 1
     assert "Traceback" not in result.output
     assert result.output.splitlines() == [f"error: cannot load model {path}: {side} {message}"]
+
+
+def test_eval_rejects_a_model_that_does_not_fit_its_dataset(runner, tmp_path):
+    path = tmp_path / "model.qc"
+    spec = qnn.LayerSpec(qnn.LayerKind.BASIC_ENTANGLER, 1, 8)
+    qnn.save_model(qnn.build_model(spec, qnn.load_dataset("iris")), path)
+    side = qnn.sidecar_path(path)
+    meta = json.loads(side.read_text())
+    meta.update(feature_count=5, normalization={"lo": [0.0] * 5, "hi": [1.0] * 5})
+    side.write_text(json.dumps(meta))
+    result = invoke(runner, "eval", "--model", str(path))
+    assert result.exit_code == 1
+    assert result.output.splitlines() == [
+        f"error: model {path} encodes 5 features, dataset iris has 4"
+    ]
 
 
 def test_retrain_zero_parameters_warns(runner, tmp_path):
@@ -290,6 +348,12 @@ def test_retrain_zero_parameters_warns(runner, tmp_path):
         ("retrain", ["--epochs", "0"], "epochs must be >= 1, got 0"),
         (
             "train",
+            ["--dataset", "iris", "--qubits", "4", "--lr", "nan"],
+            "learning rate must be finite and > 0, got nan",
+        ),
+        ("retrain", ["--lr", "inf"], "learning rate must be finite and > 0, got inf"),
+        (
+            "train",
             ["--dataset", "iris", "--qubits", "2"],
             "3 classes need at least that many qubits, got 2",
         ),
@@ -299,6 +363,8 @@ def test_retrain_zero_parameters_warns(runner, tmp_path):
         "optimize-iters-0",
         "sweep-later-tolerance-0",
         "retrain-epochs-0",
+        "train-lr-nan",
+        "retrain-lr-inf",
         "train-qubits-2",
     ],
 )

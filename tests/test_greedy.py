@@ -189,6 +189,19 @@ def test_oracle_lower_bounds_greedy():
             assert res.final_dist >= oracle_dist - 1e-12
 
 
+def test_oracle_word_ignores_global_phase():
+    # words that tie up to phase must not be told apart by rounding noise
+    rng = np.random.default_rng(0)
+    for i in range(200):
+        if i % 2:
+            picks = rng.integers(len(ALPHABET), size=int(rng.integers(1, 4)))
+            u = sequence_product([ALPHABET[j] for j in picks])
+        else:
+            u = random_1q_target(rng)
+        word, _ = exhaustive_oracle(u, max_len=3)
+        assert exhaustive_oracle(np.exp(0.37j) * u, max_len=3)[0] == word
+
+
 def test_oracle_rejects_bad_args():
     with pytest.raises(ValueError, match="max_len"):
         exhaustive_oracle(np.eye(2, dtype=complex), max_len=6)

@@ -139,3 +139,5 @@ def test_is_unitary_rejects_non_unitary():
         check_unitary(np.ones((2, 3), dtype=complex))
     with pytest.raises(ValueError, match="not unitary"):
         check_unitary(2 * I2)
+    with pytest.raises(ValueError, match="not unitary"):
+        check_unitary(np.full((2, 2), np.nan, dtype=complex))
