@@ -32,7 +32,7 @@ import numpy as np
 
 from . import __version__, circuit as circ, qnn
 from .gates import GateKind, unitary
-from .greedy import GreedyParams, exhaustive_oracle, param_gate_transform
+from .greedy import GreedyParams, exhaustive_oracle, transform_batch
 from .matrix import DistanceMetric
 from .optimizer import OptimizeConfig, OptimizeMode, optimize, sweep
 from .qnn.model import sidecar_path
@@ -178,10 +178,9 @@ def cmd_approx_gate(gate, angle, angle_grid, iters, top_k, metric, seed, restart
     else:
         angles = [angle]
 
+    targets = [unitary(kind, (float(theta),)) for theta in angles]
     rows = []
-    for theta in angles:
-        target = unitary(kind, (float(theta),))
-        best = param_gate_transform(target, params)
+    for theta, target, best in zip(angles, targets, transform_batch(targets, params)):
         _, oracle_dist = exhaustive_oracle(target, max_len=4, metric=params.metric)
         rows.append(
             {

@@ -52,15 +52,18 @@ def distances(
 ) -> np.ndarray:
     """``distance`` from target ``u`` to each candidate of a (..., dim, dim) stack.
 
-    Each Tr(V†U) is summed over the flattened matrix and |Tr| is
-    ``hypot(Re, Im)``, so a candidate's distance does not depend on the
-    shape of the stack it sits in, down to the last bit.
+    ``u`` is one target (dim, dim) or a stack of targets (..., dim, dim)
+    that broadcasts against ``vs``. Each Tr(V†U) is summed over the
+    flattened matrix and |Tr| is ``hypot(Re, Im)``, so a pair's distance
+    does not depend on the shape of the stacks it sits in, down to the
+    last bit.
     """
-    if vs.shape[-2:] != u.shape:
-        raise ValueError(f"dimension mismatch: {u.shape} vs {vs.shape[-2:]}")
-    dim = u.shape[0]
+    if u.ndim < 2 or u.shape[-2:] != vs.shape[-2:] or u.shape[-1] != u.shape[-2]:
+        raise ValueError(f"dimension mismatch: {u.shape[-2:]} vs {vs.shape[-2:]}")
+    dim = u.shape[-1]
     # Tr(V†U) = sum_ij conj(V_ij) U_ij, cheaper than forming V†U.
-    tr = (vs.conj() * u).reshape(*vs.shape[:-2], dim * dim).sum(-1)
+    prod = vs.conj() * u
+    tr = prod.reshape(*prod.shape[:-2], dim * dim).sum(-1)
     if metric is DistanceMetric.LITERAL_REAL:
         d = 1.0 - tr.real / dim
     else:

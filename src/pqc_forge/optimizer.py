@@ -3,10 +3,16 @@
 Walks a trained circuit in op order. Every rx/ry/rz runs through the
 greedy search; when the achieved distance beats the tolerance (strict
 ``<``) the rotation is spliced out in favor of the found sequence (id
-gates dropped, replacements frozen), otherwise the original op is kept
-bit-for-bit. Three-angle r gates are first split into their
-rz(φ)·ry(θ)·rz(ω) factors and each factor is handled like a standalone
-rotation. cnot and fixed gates always pass through unchanged.
+gates dropped, replacements frozen). cnot and fixed gates always pass
+through unchanged.
+
+What comes back for a search that misses the tolerance depends on the
+op. An rx/ry/rz op is kept bit-for-bit. A three-angle r gate is split
+into its rz(φ)·ry(θ)·rz(ω) factors before the search, and each factor
+not replaced comes back as a rotation of its own: an r gate with no
+factor replaced still comes back as three ops, not as the original op.
+A fused run that is not replaced comes back as its ops, with every r
+gate among them split the same way. ROADMAP Open item 1 is the fix.
 
 Both modes group factors into runs and search each run once.
 ``PER_GATE`` mode gives every factor its own run. ``FUSED_RUNS`` mode
@@ -15,6 +21,9 @@ other op closes the runs on its wires, so back-to-back rotations whose
 product is near-identity vanish together instead of leaving a t·t†
 style residue.
 
+``search`` plans the runs and searches all of them in one
+``greedy.transform_batch`` call. The results do not depend on the
+tolerance, so ``sweep`` searches once and splices at every tolerance.
 Each search draws from a random stream keyed by (seed, source position,
 factor index), so reports are deterministic for a given seed no matter
 how many gates are searched or in what order.
@@ -22,6 +31,7 @@ how many gates are searched or in what order.
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -30,7 +40,8 @@ import numpy as np
 from . import gates
 from .circuit import Circuit, CircuitMetrics, Op, full_unitary, metrics
 from .gates import GateKind
-from .greedy import GreedyParams, param_gate_transform
+# param_gate_transform stays importable here: bench/layers.py wraps this name.
+from .greedy import GreedyParams, GreedyResult, param_gate_transform, transform_batch  # noqa: F401
 from .matrix import distance
 
 GLOBAL_CHECK_MAX_QUBITS = 6
@@ -133,19 +144,33 @@ class _Run:
     factors: list[tuple[GateKind, float]] = field(default_factory=list)  # circuit order
     kept_ops: list[Op] = field(default_factory=list)  # what to emit when not replaced
 
-
-def _search(run: _Run, cfg: OptimizeConfig):
-    target = np.eye(2, dtype=complex)
-    for kind, angle in run.factors:
-        target = gates.unitary(kind, (angle,)) @ target
-    seed_key = (cfg.greedy.seed, run.position, run.factor or 0)
-    return param_gate_transform(target, cfg.greedy, seed_key=seed_key)
+    def target(self) -> np.ndarray:
+        u = np.eye(2, dtype=complex)
+        for kind, angle in self.factors:
+            u = gates.unitary(kind, (angle,)) @ u
+        return u
 
 
-def optimize(c: Circuit, cfg: OptimizeConfig) -> tuple[Circuit, OptimizeReport]:
-    """Run the replacement pass; returns the new circuit and its report."""
+@dataclass(frozen=True)
+class Searched:
+    """Greedy results for every run of ``circuit``, planned in ``mode``.
+
+    ``results[i]`` belongs to the i-th run of ``slots``. The results
+    depend on the circuit, the mode and the greedy params but not on the
+    tolerance, so one ``Searched`` serves every tolerance of a sweep.
+    """
+
+    circuit: Circuit
+    mode: OptimizeMode
+    greedy: GreedyParams
+    slots: tuple  # the circuit's ops in order, each rotation run as a _Run
+    results: tuple[GreedyResult, ...]
+
+
+def _plan(c: Circuit, mode: OptimizeMode) -> list:
+    """The circuit's ops in order, with rotation factors grouped into runs."""
     # Per-gate mode is fused mode with one factor per run.
-    per_gate = cfg.mode is OptimizeMode.PER_GATE
+    per_gate = mode is OptimizeMode.PER_GATE
     slots: list[Op | _Run] = []
     open_runs: dict[int, _Run] = {}
     for pos, op in enumerate(c.ops):
@@ -164,14 +189,43 @@ def optimize(c: Circuit, cfg: OptimizeConfig) -> tuple[Circuit, OptimizeReport]:
                 slots.append(run)
             run.factors.append((kind, angle))
             run.kept_ops.append(op if not multi else Op(kind, op.qubits, (angle,), op.trainable))
+    return slots
+
+
+def search(c: Circuit, mode: OptimizeMode, greedy: GreedyParams) -> Searched:
+    """Plan the runs of ``c`` and search all of them in one kernel call."""
+    slots = _plan(c, mode)
+    runs = [slot for slot in slots if isinstance(slot, _Run)]
+    results = transform_batch(
+        [run.target() for run in runs],
+        greedy,
+        [(greedy.seed, run.position, run.factor or 0) for run in runs],
+    )
+    return Searched(c, mode, greedy, tuple(slots), tuple(results))
+
+
+def optimize(
+    c: Circuit, cfg: OptimizeConfig, searched: Searched | None = None
+) -> tuple[Circuit, OptimizeReport]:
+    """Run the replacement pass; returns the new circuit and its report.
+
+    ``searched``, from ``search(c, cfg.mode, cfg.greedy)``, reuses results
+    already searched; results for another circuit, mode or greedy params
+    raise ValueError.
+    """
+    if searched is None:
+        searched = search(c, cfg.mode, cfg.greedy)
+    elif (searched.circuit, searched.mode, searched.greedy) != (c, cfg.mode, cfg.greedy):
+        raise ValueError("searched results belong to another circuit, mode or greedy params")
 
     out_ops: list[Op] = []
     ledger: list[LedgerEntry] = []
-    for slot in slots:
+    results = iter(searched.results)
+    for slot in searched.slots:
         if isinstance(slot, Op):
             out_ops.append(slot)
             continue
-        res = _search(slot, cfg)
+        res = next(results)
         replaced = res.final_dist < cfg.tolerance
         out_ops.extend(_splice(res.sequence, slot.qubit) if replaced else slot.kept_ops)
         ledger.append(
@@ -225,12 +279,15 @@ def sweep(
     if not tolerances:
         raise ValueError("tolerances must be non-empty")
     base = cfg or OptimizeConfig(tolerance=tolerances[0])
+    # every tolerance is checked before the search
+    cfgs = [dataclasses.replace(base, tolerance=tol) for tol in tolerances]
+    searched = search(c, base.mode, base.greedy)
     rows = []
-    for tol in tolerances:
-        run_cfg = OptimizeConfig(tolerance=tol, greedy=base.greedy, mode=base.mode)
-        optimized, report = optimize(c, run_cfg)
+    for run_cfg in cfgs:
+        # through the module-level optimize, so that a wrapper of it sees every pass
+        optimized, report = optimize(c, run_cfg, searched)
         row = {
-            "tolerance": tol,
+            "tolerance": run_cfg.tolerance,
             "depth": report.after.decomposed_depth,
             "gate_count": report.after.decomposed_gate_count,
             "remaining_parameters": report.after.remaining_parameters,

@@ -8,9 +8,11 @@ import pytest
 from helpers import random_1q_target, sequence_product
 from pqc_forge.gates import ALPHABET, GateKind, rx, unitary
 from pqc_forge.greedy import (
+    BLOCK_ROWS,
     GreedyParams,
     exhaustive_oracle,
     param_gate_transform,
+    transform_batch,
 )
 from pqc_forge.matrix import DistanceMetric, distance
 
@@ -89,6 +91,31 @@ def test_pinned_searches(gate, angles, metric, top_k, restarts, iterations, key,
     assert res.final_dist.hex() == dist_hex
 
 
+@pytest.mark.parametrize("metric", [P, L])
+@pytest.mark.parametrize("restarts", range(1, 9))
+def test_batch_equals_one_target_calls(metric, restarts):
+    # more targets than one block holds, mixed kinds, repeated seed keys
+    rng = np.random.default_rng(restarts)
+    n = BLOCK_ROWS // restarts + 3
+    exact = [unitary(kind) for kind in ALPHABET] + [rx(math.pi)]
+    targets, keys = [], []
+    for i in range(n):
+        targets.append(random_1q_target(rng) if i % 3 else exact[i % len(exact)])
+        keys.append([None, i % 4, (i % 2, 5), (1, i % 3, 2)][i % 4])
+    params = GreedyParams(iterations=12, top_k=3, metric=metric, seed=4, restarts=restarts)
+    batch = transform_batch(targets, params, keys)
+    assert len(batch) == n
+    for target, key, got in zip(targets, keys, batch):
+        one = param_gate_transform(target, params, seed_key=key)
+        assert got.sequence == one.sequence
+        assert got.final_dist.hex() == one.final_dist.hex()
+
+
+def test_batch_of_no_targets_is_empty():
+    assert transform_batch([]) == []
+    assert transform_batch([], GreedyParams(restarts=3), []) == []
+
+
 def test_determinism():
     t = rx(1.1)
     p = GreedyParams(seed=7)
@@ -156,6 +183,10 @@ def test_param_validation():
         param_gate_transform(np.eye(4, dtype=complex))
     with pytest.raises(ValueError, match="not unitary"):
         param_gate_transform(np.diag([1.0, 2.0]).astype(complex))
+    with pytest.raises(ValueError, match="not unitary"):
+        transform_batch([rx(0.3), np.diag([1.0, 2.0]).astype(complex)])
+    with pytest.raises(ValueError, match="2 targets but 1 seed keys"):
+        transform_batch([rx(0.3), rx(0.4)], seed_keys=[1])
 
 
 def test_oracle_quarter_turn_grid_is_exact():

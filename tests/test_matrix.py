@@ -112,24 +112,30 @@ def random_unitary(rng, dim):
 @pytest.mark.parametrize("dim, shape", [(2, (3, 11)), (2, (40,)), (8, (5,)), (64, (2, 3))])
 def test_distances_match_distance_exactly(dim, shape):
     rng = np.random.default_rng(dim)
-    u = random_unitary(rng, dim)
     vs = np.stack([random_unitary(rng, dim) for _ in range(math.prod(shape))])
     vs = vs.reshape(*shape, dim, dim)
-    vs[(0,) * len(shape)] = np.exp(0.3j) * u  # a zero-distance row under phase invariance
-    for mode in DistanceMetric:
-        got = distances(u, vs, mode)
-        assert got.shape == shape
-        for idx in np.ndindex(*shape):
-            # the one-pair reduction, written out: np.sum over the matrix, Python abs
-            tr = complex(np.sum(vs[idx].conj() * u))
-            literal = mode is DistanceMetric.LITERAL_REAL
-            expected = max(0.0, 1.0 - (tr.real if literal else abs(tr)) / dim)
-            assert got[idx] == distance(u, vs[idx], mode) == expected
+    # one target, then a stack of targets broadcast along the first axis
+    for u_shape in [(), shape[:1] + (1,) * (len(shape) - 1)]:
+        us = np.stack([random_unitary(rng, dim) for _ in range(math.prod(u_shape))])
+        u = us.reshape(*u_shape, dim, dim)
+        u_at = np.broadcast_to(u, vs.shape)  # the target each candidate is scored against
+        vs[(0,) * len(shape)] = np.exp(0.3j) * u_at[(0,) * len(shape)]  # zero distance, phase-blind
+        for mode in DistanceMetric:
+            got = distances(u, vs, mode)
+            assert got.shape == shape
+            for idx in np.ndindex(*shape):
+                # the one-pair reduction, written out: np.sum over the matrix, Python abs
+                tr = complex(np.sum(vs[idx].conj() * u_at[idx]))
+                literal = mode is DistanceMetric.LITERAL_REAL
+                expected = max(0.0, 1.0 - (tr.real if literal else abs(tr)) / dim)
+                assert got[idx] == distance(u_at[idx], vs[idx], mode) == expected
 
 
 def test_distance_dimension_mismatch():
     with pytest.raises(ValueError, match="mismatch"):
         distance(I2, np.eye(4, dtype=complex))
+    with pytest.raises(ValueError, match="mismatch"):
+        distances(np.stack([I2, I2]), np.eye(4, dtype=complex)[None])
 
 
 def test_is_unitary_rejects_non_unitary():

@@ -7,15 +7,16 @@ import numpy as np
 import pytest
 
 from helpers import random_circuit, sequence_product
-from pqc_forge import gates
+from pqc_forge import gates, optimizer, qnn
 from pqc_forge.circuit import Circuit, Op, full_unitary, metrics
 from pqc_forge.gates import GateKind
 from pqc_forge.greedy import GreedyParams
-from pqc_forge.matrix import distance
+from pqc_forge.matrix import DistanceMetric, distance
 from pqc_forge.optimizer import (
     OptimizeConfig,
     OptimizeMode,
     optimize,
+    search,
     sweep,
 )
 
@@ -218,3 +219,91 @@ def test_sweep_accuracy_column_via_callable():
 def test_sweep_rejects_empty_tolerances():
     with pytest.raises(ValueError, match="non-empty"):
         sweep(Circuit(1), [])
+
+
+@pytest.fixture
+def counted(monkeypatch):
+    """Counts optimize passes and the targets the greedy kernel searches."""
+    calls = {"optimize": 0, "kernel": 0, "targets": 0}
+    real_optimize, real_kernel = optimizer.optimize, optimizer.transform_batch
+
+    def count_optimize(*args, **kwargs):
+        calls["optimize"] += 1
+        return real_optimize(*args, **kwargs)
+
+    def count_kernel(targets, *args, **kwargs):
+        calls["kernel"] += 1
+        calls["targets"] += len(targets)
+        return real_kernel(targets, *args, **kwargs)
+
+    monkeypatch.setattr(optimizer, "optimize", count_optimize)
+    monkeypatch.setattr(optimizer, "transform_batch", count_kernel)
+    return calls
+
+
+def test_sweep_checks_every_tolerance_before_searching(counted):
+    c = Circuit(1, (Op(GateKind.RX, (0,), (0.3,), True),))
+    with pytest.raises(ValueError, match="tolerance"):
+        sweep(c, [0.1, 0])
+    assert counted == {"optimize": 0, "kernel": 0, "targets": 0}
+
+
+@pytest.mark.parametrize("mode", list(OptimizeMode))
+def test_sweep_searches_each_run_once(counted, mode):
+    c = random_circuit(4, 30, np.random.default_rng(19))
+    tols = [0.001, 0.05, 0.1]
+    sweep(c, tols, OptimizeConfig(tolerance=0.1, mode=mode))
+    runs = len(optimize(c, OptimizeConfig(tolerance=0.1, mode=mode))[1].ledger)
+    # the sweep: one pass per tolerance, one kernel call; then the pass above
+    assert counted == {"optimize": len(tols), "kernel": 2, "targets": 2 * runs}
+
+
+@pytest.mark.parametrize("mode", list(OptimizeMode))
+@pytest.mark.parametrize("metric", list(DistanceMetric))
+def test_sweep_equals_independent_passes(monkeypatch, mode, metric):
+    spec = qnn.LayerSpec(qnn.LayerKind.STRONGLY_ENTANGLING, 2, 4)
+    circuits = [random_circuit(4, 40, np.random.default_rng(21)), qnn.build_ansatz(spec, 3)]
+    greedy = GreedyParams(metric=metric, seed=2)
+    tols = [0.001, 0.02, 0.1, 0.3]
+    for c in circuits:
+        passes, evaluated = [], []
+
+        def record(*args, **kwargs):
+            passes.append(optimize(*args, **kwargs))
+            return passes[-1]
+
+        def evaluate(circuit):
+            evaluated.append(circuit)
+            return len(circuit.ops)
+
+        monkeypatch.setattr(optimizer, "optimize", record)
+        rows = sweep(c, tols, OptimizeConfig(0.5, greedy, mode), evaluate=evaluate)
+        monkeypatch.undo()
+        assert len(passes) == len(evaluated) == len(tols)
+        for tol, row, (out, rep), seen in zip(tols, rows, passes, evaluated):
+            want_out, want_rep = optimize(c, OptimizeConfig(tol, greedy, mode))
+            assert out == seen == want_out
+            assert rep.as_dict() == want_rep.as_dict()
+            assert row == {
+                "tolerance": tol,
+                "depth": want_rep.after.decomposed_depth,
+                "gate_count": want_rep.after.decomposed_gate_count,
+                "remaining_parameters": want_rep.after.remaining_parameters,
+                "replaced": want_rep.replaced_count,
+                "accuracy": float(len(want_out.ops)),
+            }
+
+
+def test_searched_results_must_match_the_pass():
+    rng = np.random.default_rng(23)
+    c, other = random_circuit(3, 20, rng), random_circuit(3, 20, rng)
+    cfg = OptimizeConfig(tolerance=0.05)
+    searched = search(c, cfg.mode, cfg.greedy)
+    assert optimize(c, cfg, searched)[1].as_dict() == optimize(c, cfg)[1].as_dict()
+    for wrong in (
+        search(other, cfg.mode, cfg.greedy),
+        search(c, OptimizeMode.FUSED_RUNS, cfg.greedy),
+        search(c, cfg.mode, GreedyParams(seed=1)),
+    ):
+        with pytest.raises(ValueError, match="another circuit, mode or greedy params"):
+            optimize(c, cfg, wrong)
