@@ -25,13 +25,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 
-import numpy as np
-
 from . import gates
 from .gates import GateKind, N_ANGLES, ROTATION_KINDS
 
 MAX_ANGLE = 4 * math.pi
-MAX_UNITARY_QUBITS = 10
 
 
 class ParseError(ValueError):
@@ -226,14 +223,3 @@ def metrics(c: Circuit) -> CircuitMetrics:
         remaining_parameters=params,
     )
 
-
-def full_unitary(c: Circuit) -> np.ndarray:
-    """Ordered product of embedded gate unitaries (test-scale oracle)."""
-    if c.n_qubits > MAX_UNITARY_QUBITS:
-        raise ValueError(
-            f"full_unitary supports at most {MAX_UNITARY_QUBITS} qubits, got {c.n_qubits}"
-        )
-    u = np.eye(1 << c.n_qubits, dtype=complex)
-    for op in c.ops:
-        u = gates.embed(op.kind, op.qubits, c.n_qubits, op.angles) @ u
-    return u

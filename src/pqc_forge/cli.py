@@ -90,15 +90,19 @@ def _load(what: str, fn, *args):
 
 
 def _model_and_dataset(model_path, dataset, data_path):
-    """A saved model and its split of ``dataset`` (default: the one it was trained on)."""
+    """A saved model and its split of ``dataset`` (default: the one it was
+    trained on), scaled by the model's stored bounds."""
     model = _load(f"model {model_path}", qnn.load_model, model_path)
     name = dataset or model.dataset_name
-    ds = _load(f"dataset {name}", qnn.load_dataset, name, data_path, model.split_seed)
-    if ds.n_features != model.feature_count:
+    # an unknown name is left for load_dataset to reject
+    n_features = qnn.data.FEATURE_COUNTS.get(name, model.feature_count)
+    if n_features != model.feature_count:
         raise ValueError(
             f"model {model_path} encodes {model.feature_count} features, "
-            f"dataset {name} has {ds.n_features}"
+            f"dataset {name} has {n_features}"
         )
+    bounds = (model.lo, model.hi)
+    ds = _load(f"dataset {name}", qnn.load_dataset, name, data_path, model.split_seed, bounds)
     return model, ds
 
 

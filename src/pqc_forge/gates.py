@@ -1,4 +1,4 @@
-"""Gate catalog: unitaries, multi-qubit embedding, and basis decomposition.
+"""Gate catalog: single-qubit unitaries and basis decomposition.
 
 Conventions fixed here and relied on everywhere else:
 
@@ -8,8 +8,6 @@ Conventions fixed here and relied on everywhere else:
 * The three-angle rotation is R(φ, θ, ω) = RZ(ω)·RY(θ)·RZ(φ) as a matrix
   product, i.e. RZ(φ) acts first in circuit order; ``rotation_factors``
   lists a rotation's single-angle factors in that order.
-* Qubit 0 is the most significant bit of the state index: for n qubits,
-  basis state |q0 q1 ... q_{n-1}⟩ has index q0·2^{n-1} + ... + q_{n-1}.
 
 The search alphabet is the 11 fixed single-qubit gates, in this order:
 x, y, z, h, s, t, id, sx, sdg, sxdg, tdg. The order matters: it breaks
@@ -31,8 +29,6 @@ from enum import Enum
 import numpy as np
 
 from .matrix import check_unitary
-
-MAX_EMBED_QUBITS = 12
 
 
 class GateKind(Enum):
@@ -118,9 +114,9 @@ def rz(theta: float) -> np.ndarray:
 
 
 def unitary(kind: GateKind, angles: tuple[float, ...] = ()) -> np.ndarray:
-    """2×2 unitary of a single-qubit gate. CNOT must go through ``embed``."""
+    """2×2 unitary of a single-qubit gate; cnot has none."""
     if kind is GateKind.CNOT:
-        raise ValueError("cnot has no 2x2 unitary; use embed() for two-qubit gates")
+        raise ValueError("cnot has no 2x2 unitary")
     if len(angles) != N_ANGLES[kind]:
         raise ValueError(
             f"{kind.value} takes {N_ANGLES[kind]} angle(s), got {len(angles)}"
@@ -147,44 +143,6 @@ def rotation_factors(op) -> list[tuple[GateKind, float]]:
         phi, theta, omega = op.angles
         return [(GateKind.RZ, phi), (GateKind.RY, theta), (GateKind.RZ, omega)]
     return [(op.kind, op.angles[0])]
-
-
-def _bit(index: int, q: int, n: int) -> int:
-    return (index >> (n - 1 - q)) & 1
-
-
-def embed(
-    kind: GateKind,
-    qubits: tuple[int, ...] | list[int],
-    n: int,
-    angles: tuple[float, ...] = (),
-) -> np.ndarray:
-    """2ⁿ×2ⁿ unitary acting as the gate on ``qubits``, identity elsewhere."""
-    if n < 1 or n > MAX_EMBED_QUBITS:
-        raise ValueError(f"qubit count {n} outside 1..{MAX_EMBED_QUBITS}")
-    qubits = tuple(qubits)
-    if len(set(qubits)) != len(qubits):
-        raise ValueError(f"duplicate qubit indices {qubits}")
-    for q in qubits:
-        if not 0 <= q < n:
-            raise ValueError(f"qubit index {q} out of range for {n} qubits")
-    if kind is GateKind.CNOT:
-        if len(qubits) != 2:
-            raise ValueError("cnot takes exactly 2 qubits")
-        control, target = qubits
-        dim = 1 << n
-        u = np.zeros((dim, dim), dtype=complex)
-        flip = 1 << (n - 1 - target)
-        for i in range(dim):
-            j = i ^ flip if _bit(i, control, n) else i
-            u[j, i] = 1.0
-        return u
-    if len(qubits) != 1:
-        raise ValueError(f"{kind.value} takes exactly 1 qubit")
-    (q,) = qubits
-    left = np.eye(1 << q, dtype=complex)
-    right = np.eye(1 << (n - 1 - q), dtype=complex)
-    return np.kron(left, np.kron(unitary(kind, angles), right))
 
 
 def euler_zsxz(u: np.ndarray) -> tuple[float, float, float]:

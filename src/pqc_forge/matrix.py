@@ -1,7 +1,7 @@
 """Dense complex matrix arithmetic and the unitary overlap distance.
 
 Matrices are square ``complex128`` numpy arrays whose dimension is a power
-of two (2 for single-qubit gates, 2**n for embedded circuits). Everything
+of two (2 for single-qubit gates, 2**n for whole circuits). Everything
 here is a pure function; nothing mutates its inputs.
 
 The distance between two unitaries U (target) and V (candidate) is built

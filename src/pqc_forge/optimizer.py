@@ -26,7 +26,14 @@ style residue.
 tolerance, so ``sweep`` searches once and splices at every tolerance.
 Each search draws from a random stream keyed by (seed, source position,
 factor index), so reports are deterministic for a given seed no matter
-how many gates are searched or in what order.
+how many gates are searched or in what order. ``search`` also measures
+the input circuit once, so a sweep's passes share its ``before`` metrics.
+
+On at most ``GLOBAL_CHECK_MAX_QUBITS`` qubits the report carries the
+exact distance between the input and output circuits. Both unitaries
+come from the statevector simulator: ``sim.run_batch`` pushes the 2ⁿ
+basis states through each circuit, and the columns of the result are
+the circuit's unitary.
 """
 
 from __future__ import annotations
@@ -37,8 +44,8 @@ from enum import Enum
 
 import numpy as np
 
-from . import gates
-from .circuit import Circuit, CircuitMetrics, Op, full_unitary, metrics
+from . import gates, sim
+from .circuit import Circuit, CircuitMetrics, Op, metrics
 from .gates import GateKind
 # param_gate_transform stays importable here: bench/layers.py wraps this name.
 from .greedy import GreedyParams, GreedyResult, param_gate_transform, transform_batch  # noqa: F401
@@ -158,6 +165,7 @@ class Searched:
     ``results[i]`` belongs to the i-th run of ``slots``. The results
     depend on the circuit, the mode and the greedy params but not on the
     tolerance, so one ``Searched`` serves every tolerance of a sweep.
+    ``before`` is the circuit's metrics, which every pass reports.
     """
 
     circuit: Circuit
@@ -165,6 +173,7 @@ class Searched:
     greedy: GreedyParams
     slots: tuple  # the circuit's ops in order, each rotation run as a _Run
     results: tuple[GreedyResult, ...]
+    before: CircuitMetrics
 
 
 def _plan(c: Circuit, mode: OptimizeMode) -> list:
@@ -193,7 +202,8 @@ def _plan(c: Circuit, mode: OptimizeMode) -> list:
 
 
 def search(c: Circuit, mode: OptimizeMode, greedy: GreedyParams) -> Searched:
-    """Plan the runs of ``c`` and search all of them in one kernel call."""
+    """Plan the runs of ``c``, search all of them in one kernel call, and
+    measure ``c``."""
     slots = _plan(c, mode)
     runs = [slot for slot in slots if isinstance(slot, _Run)]
     results = transform_batch(
@@ -201,7 +211,7 @@ def search(c: Circuit, mode: OptimizeMode, greedy: GreedyParams) -> Searched:
         greedy,
         [(greedy.seed, run.position, run.factor or 0) for run in runs],
     )
-    return Searched(c, mode, greedy, tuple(slots), tuple(results))
+    return Searched(c, mode, greedy, tuple(slots), tuple(results), metrics(c))
 
 
 def optimize(
@@ -245,15 +255,16 @@ def optimize(
     new_circuit = Circuit(c.n_qubits, tuple(out_ops))
     global_dist = None
     if c.n_qubits <= GLOBAL_CHECK_MAX_QUBITS:
+        basis = np.eye(1 << c.n_qubits, dtype=complex)
         global_dist = distance(
-            full_unitary(c), full_unitary(new_circuit), cfg.greedy.metric
+            sim.run_batch(c, basis).T, sim.run_batch(new_circuit, basis).T, cfg.greedy.metric
         )
     report = OptimizeReport(
         tolerance=cfg.tolerance,
         seed=cfg.greedy.seed,
         metric=cfg.greedy.metric.value,
         mode=cfg.mode.value,
-        before=metrics(c),
+        before=searched.before,
         after=metrics(new_circuit),
         ledger=ledger,
         transform_calls=len(ledger),

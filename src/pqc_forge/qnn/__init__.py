@@ -7,7 +7,6 @@ from .model import (
     Model,
     build_ansatz,
     build_model,
-    encoding_ops,
     load_model,
     save_model,
     sidecar_path,
@@ -34,7 +33,6 @@ __all__ = [
     "accuracy",
     "build_ansatz",
     "build_model",
-    "encoding_ops",
     "evaluate",
     "forward",
     "load_dataset",

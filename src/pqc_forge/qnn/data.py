@@ -11,7 +11,9 @@ Two datasets are supported:
 
 Both get a stratified 80/20 train/test split drawn from the seed, and
 per-dimension min/max scaling to [0, π] computed on the train split only
-(test rows are clipped into the same range).
+(test rows are clipped into the same range). Given ``bounds``, such as a
+saved model's, every row is scaled and clipped by those instead, so the
+model sees its features the way it was trained.
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ from pathlib import Path
 import numpy as np
 
 DATASET_NAMES = ("iris", "digits01")
+FEATURE_COUNTS = {"iris": 4, "digits01": 10}
 TRAIN_FRACTION = 0.8
 
 
@@ -34,7 +37,7 @@ class Dataset:
     labels: np.ndarray  # (n_samples,) int class ids
     train_idx: np.ndarray
     test_idx: np.ndarray
-    lo: np.ndarray  # pre-scale train-split minima, kept for audit
+    lo: np.ndarray  # pre-scale bounds the features were scaled by
     hi: np.ndarray
     class_names: tuple[str, ...]
     seed: int
@@ -102,7 +105,7 @@ def _pool_digits(pixels: np.ndarray) -> np.ndarray:
     """8×8 images → 2×2 mean pooling → 16 values; keep the first 10."""
     imgs = pixels.reshape(-1, 8, 8)
     pooled = imgs.reshape(-1, 4, 2, 4, 2).mean(axis=(2, 4)).reshape(-1, 16)
-    return pooled[:, :10]
+    return pooled[:, : FEATURE_COUNTS["digits01"]]
 
 
 def _stratified_split(labels: np.ndarray, seed: int) -> tuple[np.ndarray, np.ndarray]:
@@ -117,13 +120,18 @@ def _stratified_split(labels: np.ndarray, seed: int) -> tuple[np.ndarray, np.nda
     return np.sort(np.array(train)), np.sort(np.array(test))
 
 
-def load_dataset(name: str, path=None, seed: int = 0) -> Dataset:
-    """Load, split, and scale one of the supported datasets."""
+def load_dataset(name: str, path=None, seed: int = 0, bounds=None) -> Dataset:
+    """Load, split, and scale one of the supported datasets.
+
+    ``bounds`` is an optional (lo, hi) pair of per-feature arrays, one
+    entry per feature, to scale by; without it the train split's minima
+    and maxima are used.
+    """
     if name == "iris":
         if path is None:
             path = resources.files("pqc_forge").joinpath("data/iris.csv")
         rows = _read_csv(path)
-        feats, raw_labels = _parse_rows(rows, 4, path)
+        feats, raw_labels = _parse_rows(rows, FEATURE_COUNTS["iris"], path)
         class_names = tuple(sorted(set(raw_labels)))
         label_ids = {c: i for i, c in enumerate(class_names)}
         labels = np.array([label_ids[l] for l in raw_labels])
@@ -146,8 +154,10 @@ def load_dataset(name: str, path=None, seed: int = 0) -> Dataset:
         raise ValueError(f"unknown dataset {name!r}; expected one of {DATASET_NAMES}")
 
     train_idx, test_idx = _stratified_split(labels, seed)
-    lo = feats[train_idx].min(axis=0)
-    hi = feats[train_idx].max(axis=0)
+    if bounds is None:
+        lo, hi = feats[train_idx].min(axis=0), feats[train_idx].max(axis=0)
+    else:
+        lo, hi = bounds
     span = np.where(hi > lo, hi - lo, 1.0)
     scaled = np.clip((feats - lo) / span, 0.0, 1.0) * np.pi
     return Dataset(

@@ -161,14 +161,6 @@ def build_model(spec: LayerSpec, dataset: Dataset, seed: int = 0) -> Model:
     )
 
 
-def encoding_ops(x: np.ndarray, n_qubits: int, feature_count: int) -> list[Op]:
-    """Frozen RX encoding gates for one sample (qubit q ← x[q mod F])."""
-    return [
-        Op(GateKind.RX, (q,), (float(x[q % feature_count]),), trainable=False)
-        for q in range(n_qubits)
-    ]
-
-
 def sidecar_path(path) -> Path:
     return Path(path).with_suffix(".json")
 
@@ -204,8 +196,9 @@ def load_model(path) -> Model:
     """Read a circuit file plus sidecar back into a Model.
 
     Raises ValueError when the sidecar lacks a key, holds a value of the
-    wrong type, counts fewer than one class or feature, or disagrees with
-    the circuit's qubit count, its own class count or its feature count.
+    wrong type, counts fewer than one class or feature, disagrees with
+    the circuit's qubit count, its own class count or its feature count,
+    or holds a non-finite normalization bound or a hi bound below its lo.
     """
     path = Path(path)
     ansatz = circ.load(path)
@@ -254,4 +247,8 @@ def load_model(path) -> Model:
             raise ValueError(
                 f"{side} has {bounds.size} {name} bounds for {model.feature_count} features"
             )
+        if not np.all(np.isfinite(bounds)):
+            raise ValueError(f"{side} has a non-finite {name} bound")
+    if np.any(model.hi < model.lo):
+        raise ValueError(f"{side} has a hi bound below its lo bound")
     return model

@@ -1,7 +1,8 @@
 """Exact statevector simulation by amplitude-pair updates.
 
-States are ``complex128`` vectors of length 2**n whose index bit order
-matches ``gates.embed``: qubit 0 is the most significant bit. Gates act
+States are ``complex128`` vectors of length 2**n. Qubit 0 is the most
+significant bit of the index: basis state |q0 q1 ... q_{n-1}⟩ has index
+q0·2^{n-1} + ... + q_{n-1}. Gates act
 on amplitude pairs along one axis of the state viewed as a rank-n
 tensor, O(2**n) work per gate; no 2**n × 2**n matrix is ever formed.
 
@@ -75,11 +76,6 @@ def _apply_flat(psi: np.ndarray, op: Op, n: int) -> np.ndarray:
     if op.kind is GateKind.CNOT:
         return _apply_cnot_flat(psi, op.qubits[0], op.qubits[1], n)
     return _apply_1q_flat(psi, gates.unitary(op.kind, op.angles), op.qubits[0], n)
-
-
-def apply_op(state: np.ndarray, op: Op, n_qubits: int) -> np.ndarray:
-    """One gate applied to one state vector; returns a new vector."""
-    return _apply_flat(state[None, :], op, n_qubits)[0]
 
 
 def apply_1q_batch(states: np.ndarray, u: np.ndarray, qubit: int) -> np.ndarray:

@@ -1,9 +1,18 @@
-"""Shared builders for the test suite."""
+"""Shared circuit factories and dense oracles for the test suite.
+
+``embed`` and ``full_unitary`` build 2ⁿ×2ⁿ matrices gate by gate; the
+tests compare the statevector simulator and the optimizer's global
+distance against them.
+"""
 
 import numpy as np
 
+from pqc_forge import sim
 from pqc_forge.circuit import Circuit, Op
 from pqc_forge.gates import ALPHABET, GateKind, unitary
+
+MAX_EMBED_QUBITS = 12
+MAX_UNITARY_QUBITS = 10
 
 FIXED_1Q = tuple(k for k in ALPHABET if k is not GateKind.ID)
 ROTATIONS = (GateKind.RX, GateKind.RY, GateKind.RZ)
@@ -46,3 +55,66 @@ def sequence_product(seq):
         kind, angles = item if isinstance(item, tuple) else (item, ())
         u = unitary(kind, tuple(angles)) @ u
     return u
+
+
+def _bit(index: int, q: int, n: int) -> int:
+    return (index >> (n - 1 - q)) & 1
+
+
+def embed(
+    kind: GateKind,
+    qubits: tuple[int, ...] | list[int],
+    n: int,
+    angles: tuple[float, ...] = (),
+) -> np.ndarray:
+    """2ⁿ×2ⁿ unitary acting as the gate on ``qubits``, identity elsewhere."""
+    if n < 1 or n > MAX_EMBED_QUBITS:
+        raise ValueError(f"qubit count {n} outside 1..{MAX_EMBED_QUBITS}")
+    qubits = tuple(qubits)
+    if len(set(qubits)) != len(qubits):
+        raise ValueError(f"duplicate qubit indices {qubits}")
+    for q in qubits:
+        if not 0 <= q < n:
+            raise ValueError(f"qubit index {q} out of range for {n} qubits")
+    if kind is GateKind.CNOT:
+        if len(qubits) != 2:
+            raise ValueError("cnot takes exactly 2 qubits")
+        control, target = qubits
+        dim = 1 << n
+        u = np.zeros((dim, dim), dtype=complex)
+        flip = 1 << (n - 1 - target)
+        for i in range(dim):
+            j = i ^ flip if _bit(i, control, n) else i
+            u[j, i] = 1.0
+        return u
+    if len(qubits) != 1:
+        raise ValueError(f"{kind.value} takes exactly 1 qubit")
+    (q,) = qubits
+    left = np.eye(1 << q, dtype=complex)
+    right = np.eye(1 << (n - 1 - q), dtype=complex)
+    return np.kron(left, np.kron(unitary(kind, angles), right))
+
+
+def full_unitary(c: Circuit) -> np.ndarray:
+    """Ordered product of embedded gate unitaries (test-scale oracle)."""
+    if c.n_qubits > MAX_UNITARY_QUBITS:
+        raise ValueError(
+            f"full_unitary supports at most {MAX_UNITARY_QUBITS} qubits, got {c.n_qubits}"
+        )
+    u = np.eye(1 << c.n_qubits, dtype=complex)
+    for op in c.ops:
+        u = embed(op.kind, op.qubits, c.n_qubits, op.angles) @ u
+    return u
+
+
+def apply_op(state: np.ndarray, op: Op, n_qubits: int) -> np.ndarray:
+    """One gate applied to one state vector; returns a new vector."""
+    return sim.run_batch(Circuit(n_qubits, (op,)), state[None, :])[0]
+
+
+def encoding_ops(x: np.ndarray, n_qubits: int, feature_count: int) -> list[Op]:
+    """Frozen RX encoding gates for one sample (qubit q ← x[q mod F])."""
+    return [
+        Op(GateKind.RX, (q,), (float(x[q % feature_count]),), trainable=False)
+        for q in range(n_qubits)
+    ]

@@ -11,9 +11,9 @@ import math
 import numpy as np
 import pytest
 
-from helpers import random_1q_target, random_circuit
-from pqc_forge import gates, qnn, sim
-from pqc_forge.circuit import Circuit, Op, decompose, full_unitary, metrics
+from helpers import apply_op, full_unitary, random_1q_target, random_circuit
+from pqc_forge import gates, qnn
+from pqc_forge.circuit import Circuit, Op, decompose, metrics
 from pqc_forge.gates import ALPHABET, GateKind
 from pqc_forge.greedy import GreedyParams, exhaustive_oracle, param_gate_transform
 from pqc_forge.matrix import DistanceMetric, distance
@@ -217,7 +217,7 @@ def test_criterion_6_numeric_property_suites(iris):
         v /= np.linalg.norm(v)
         state = v
         for op in c.ops:
-            state = sim.apply_op(state, op, 5)
+            state = apply_op(state, op, 5)
             worst_norm = max(worst_norm, abs(np.linalg.norm(state) - 1.0))
         worst_sim = max(worst_sim, np.max(np.abs(state - full_unitary(c) @ v)))
     print(f"[criterion 6] sim vs oracle {worst_sim:.2e} (≤ 1e-10), norm drift {worst_norm:.2e}")

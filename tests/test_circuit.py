@@ -6,14 +6,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import random_circuit
+from helpers import full_unitary, random_circuit
 from pqc_forge import gates
 from pqc_forge.circuit import (
     Circuit,
     Op,
     ParseError,
     decompose,
-    full_unitary,
     metrics,
     parse,
     serialize,

@@ -6,6 +6,7 @@ import io
 import json
 import math
 import re
+from importlib import resources
 
 import numpy as np
 import pytest
@@ -276,6 +277,14 @@ def test_sweep_dataset_without_sidecar_fails(runner, tmp_path):
             "has 3 lo bounds for 4 features",
         ),
         (
+            lambda meta: meta["normalization"]["hi"].__setitem__(2, float("inf")),
+            "has a non-finite hi bound",
+        ),
+        (
+            lambda meta: meta["normalization"].update(hi=meta["normalization"]["lo"][::-1]),
+            "has a hi bound below its lo bound",
+        ),
+        (
             lambda meta: meta.update(normalization=None),
             "has a malformed entry: 'NoneType' object is not subscriptable",
         ),
@@ -289,7 +298,8 @@ def test_sweep_dataset_without_sidecar_fails(runner, tmp_path):
         ),
     ],
     ids=[
-        "missing-key", "qubit-count", "class-count", "bounds-length", "wrong-type",
+        "missing-key", "qubit-count", "class-count", "bounds-length", "bounds-non-finite",
+        "bounds-reversed", "wrong-type",
         "no-features", "no-classes",
     ],
 )
@@ -320,6 +330,27 @@ def test_eval_rejects_a_model_that_does_not_fit_its_dataset(runner, tmp_path):
     assert result.output.splitlines() == [
         f"error: model {path} encodes 5 features, dataset iris has 4"
     ]
+
+
+def test_eval_scales_other_data_by_the_stored_bounds(runner, tmp_path):
+    path = tmp_path / "model.qc"
+    iris = qnn.load_dataset("iris")
+    model = qnn.build_model(qnn.LayerSpec(qnn.LayerKind.BASIC_ENTANGLER, 1, 4), iris)
+    qnn.save_model(model, path)
+    # the bundled rows, moved to another feature range
+    with (resources.files("pqc_forge") / "data" / "iris.csv").open() as fh:
+        rows = list(csv.reader(fh))[1:]
+    raw = np.array([[float(v) for v in row[:4]] for row in rows]) * 0.5 + 1.0
+    other = tmp_path / "other.csv"
+    with other.open("w", newline="") as fh:
+        csv.writer(fh).writerows([*x, row[4]] for x, row in zip(raw, rows))
+    scaled = np.clip((raw - model.lo) / (model.hi - model.lo), 0.0, 1.0) * np.pi
+    want = qnn.accuracy(model, scaled[iris.test_idx], iris.labels[iris.test_idx])
+    # the file's own range would score the model differently
+    assert want != qnn.accuracy(model, iris.test_x, iris.test_y)
+    result = invoke(runner, "eval", "--model", str(path), "--data", str(other))
+    assert result.exit_code == 0
+    assert f"test accuracy:  {want:.4f}" in result.output.splitlines()
 
 
 def test_retrain_zero_parameters_warns(runner, tmp_path):

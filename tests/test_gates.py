@@ -5,13 +5,12 @@ import math
 import numpy as np
 import pytest
 
-from helpers import sequence_product
+from helpers import embed, sequence_product
 from pqc_forge import gates
 from pqc_forge.gates import (
     ALPHABET,
     GateKind,
     decompose_to_basis,
-    embed,
     euler_zsxz,
     rx,
     rz,
@@ -57,7 +56,7 @@ def test_r3_is_rz_ry_rz_product():
 
 
 def test_unitary_rejects_cnot_and_bad_arity():
-    with pytest.raises(ValueError, match="embed"):
+    with pytest.raises(ValueError, match="cnot"):
         unitary(GateKind.CNOT)
     with pytest.raises(ValueError, match="angle"):
         unitary(GateKind.RX)

@@ -6,9 +6,9 @@ import math
 import numpy as np
 import pytest
 
-from helpers import random_circuit, sequence_product
+from helpers import full_unitary, random_circuit, sequence_product
 from pqc_forge import gates, optimizer, qnn
-from pqc_forge.circuit import Circuit, Op, full_unitary, metrics
+from pqc_forge.circuit import Circuit, Op, metrics
 from pqc_forge.gates import GateKind
 from pqc_forge.greedy import GreedyParams
 from pqc_forge.matrix import DistanceMetric, distance
@@ -167,6 +167,19 @@ def test_global_distance_reported_small_circuits():
     assert rep.global_distance is None
 
 
+@pytest.mark.parametrize("mode", list(OptimizeMode))
+@pytest.mark.parametrize("metric", list(DistanceMetric))
+def test_global_distance_matches_the_dense_oracle(mode, metric):
+    rng = np.random.default_rng(14)
+    for n in range(1, optimizer.GLOBAL_CHECK_MAX_QUBITS + 1):
+        for tol in (0.01, 0.1, 0.3):
+            c = random_circuit(n, 8 * n, rng, p_rotation=0.5)
+            cfg = OptimizeConfig(tol, GreedyParams(metric=metric), mode)
+            out, rep = optimize(c, cfg)
+            want = distance(full_unitary(c), full_unitary(out), metric)
+            assert abs(rep.global_distance - want) <= 1e-14
+
+
 def test_report_json_schema():
     c = Circuit(1, (Op(GateKind.RX, (0,), (0.4,), True),))
     _, rep = optimize(c, OptimizeConfig(tolerance=0.05))
@@ -223,9 +236,11 @@ def test_sweep_rejects_empty_tolerances():
 
 @pytest.fixture
 def counted(monkeypatch):
-    """Counts optimize passes and the targets the greedy kernel searches."""
-    calls = {"optimize": 0, "kernel": 0, "targets": 0}
+    """Counts optimize passes, the targets the greedy kernel searches and
+    the circuits measured."""
+    calls = {"optimize": 0, "kernel": 0, "targets": 0, "metrics": 0}
     real_optimize, real_kernel = optimizer.optimize, optimizer.transform_batch
+    real_metrics = optimizer.metrics
 
     def count_optimize(*args, **kwargs):
         calls["optimize"] += 1
@@ -236,8 +251,13 @@ def counted(monkeypatch):
         calls["targets"] += len(targets)
         return real_kernel(targets, *args, **kwargs)
 
+    def count_metrics(*args, **kwargs):
+        calls["metrics"] += 1
+        return real_metrics(*args, **kwargs)
+
     monkeypatch.setattr(optimizer, "optimize", count_optimize)
     monkeypatch.setattr(optimizer, "transform_batch", count_kernel)
+    monkeypatch.setattr(optimizer, "metrics", count_metrics)
     return calls
 
 
@@ -245,7 +265,7 @@ def test_sweep_checks_every_tolerance_before_searching(counted):
     c = Circuit(1, (Op(GateKind.RX, (0,), (0.3,), True),))
     with pytest.raises(ValueError, match="tolerance"):
         sweep(c, [0.1, 0])
-    assert counted == {"optimize": 0, "kernel": 0, "targets": 0}
+    assert counted == {"optimize": 0, "kernel": 0, "targets": 0, "metrics": 0}
 
 
 @pytest.mark.parametrize("mode", list(OptimizeMode))
@@ -253,9 +273,13 @@ def test_sweep_searches_each_run_once(counted, mode):
     c = random_circuit(4, 30, np.random.default_rng(19))
     tols = [0.001, 0.05, 0.1]
     sweep(c, tols, OptimizeConfig(tolerance=0.1, mode=mode))
+    # the input is measured once, each output once
+    assert counted["metrics"] == len(tols) + 1
     runs = len(optimize(c, OptimizeConfig(tolerance=0.1, mode=mode))[1].ledger)
     # the sweep: one pass per tolerance, one kernel call; then the pass above
-    assert counted == {"optimize": len(tols), "kernel": 2, "targets": 2 * runs}
+    assert counted == {
+        "optimize": len(tols), "kernel": 2, "targets": 2 * runs, "metrics": len(tols) + 3,
+    }
 
 
 @pytest.mark.parametrize("mode", list(OptimizeMode))

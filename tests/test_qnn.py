@@ -7,6 +7,7 @@ import math
 import numpy as np
 import pytest
 
+from helpers import encoding_ops
 from pqc_forge import qnn, sim
 from pqc_forge.circuit import Circuit, Op, metrics
 from pqc_forge.gates import GateKind
@@ -144,7 +145,7 @@ def test_class_count_needs_enough_qubits(iris):
 def test_encoding_cycles_features(iris):
     m = qnn.build_model(qnn.LayerSpec(BEL, 1, 8), iris, seed=0)
     x = iris.features[0]
-    ops = qnn.encoding_ops(x, 8, 4)
+    ops = encoding_ops(x, 8, 4)
     assert [op.angles[0] for op in ops] == [float(x[q % 4]) for q in range(8)]
     assert all(not op.trainable for op in ops)
     # batched encoding equals the explicit encoding circuit

@@ -5,9 +5,9 @@ import math
 import numpy as np
 import pytest
 
-from helpers import random_circuit
+from helpers import apply_op, embed, full_unitary, random_circuit
 from pqc_forge import sim
-from pqc_forge.circuit import Circuit, Op, full_unitary
+from pqc_forge.circuit import Circuit, Op
 from pqc_forge.gates import GateKind
 
 
@@ -50,7 +50,7 @@ def test_norm_preserved_after_every_gate():
     c = random_circuit(4, 40, rng)
     state = sim.zero_state(4)
     for op in c.ops:
-        state = sim.apply_op(state, op, 4)
+        state = apply_op(state, op, 4)
         assert abs(np.linalg.norm(state) - 1.0) <= 1e-10
 
 
@@ -138,5 +138,5 @@ def test_apply_1q_and_cnot_kernels_match_embed():
         assert np.max(np.abs(got - want)) <= 1e-12
         c, t = rng.choice(n, size=2, replace=False)
         got = sim.apply_cnot_batch(v[None, :], int(c), int(t))[0]
-        want = gates.embed(GateKind.CNOT, (int(c), int(t)), n) @ v
+        want = embed(GateKind.CNOT, (int(c), int(t)), n) @ v
         assert np.max(np.abs(got - want)) <= 1e-12
