@@ -198,7 +198,8 @@ def load_model(path) -> Model:
     Raises ValueError when the sidecar lacks a key, holds a value of the
     wrong type, counts fewer than one class or feature, disagrees with
     the circuit's qubit count, its own class count or its feature count,
-    or holds a non-finite normalization bound or a hi bound below its lo.
+    or holds a non-finite normalization bound, a hi bound below its lo or
+    a non-finite readout weight.
     """
     path = Path(path)
     ansatz = circ.load(path)
@@ -251,4 +252,7 @@ def load_model(path) -> Model:
             raise ValueError(f"{side} has a non-finite {name} bound")
     if np.any(model.hi < model.lo):
         raise ValueError(f"{side} has a hi bound below its lo bound")
+    for name in ("scale", "bias"):
+        if not np.all(np.isfinite(getattr(model, f"readout_{name}"))):
+            raise ValueError(f"{side} has a non-finite readout {name}")
     return model

@@ -1,8 +1,10 @@
 """Forward pass, adjoint-method gradients, and Adam training.
 
-The forward pass runs encoding + ansatz on |0...0⟩ exactly; the logit of
-class k is the model's affine readout scale[k]·⟨Z_k⟩ + bias[k] and class
-probabilities are the softmax of the logits. Loss is softmax
+The forward pass runs encoding + ansatz on |0...0⟩ exactly. The RX
+feature encoding of |0...0⟩ is a product state, built as the ordered
+outer product of the per-qubit (cos(x/2), -i·sin(x/2)) columns. The
+logit of class k is the model's affine readout scale[k]·⟨Z_k⟩ + bias[k]
+and class probabilities are the softmax of the logits. Loss is softmax
 cross-entropy averaged over the batch. Training updates the trainable
 angles and the readout scale and bias together, in one Adam state.
 
@@ -17,10 +19,13 @@ through every op's U† together with ψ, and at each trainable factor
 
     dL/dθ = Im⟨λ|P|ψ⟩,
 
-taken with both states just after the factor. A batch costs one forward
-pass and one backward walk, O(ops) gate applications whatever the
-number of angles, and keeps no per-op state. The readout weights get
-their exact gradients from the same forward pass:
+taken with both states just after the factor. Pψ is an exact signed
+permutation of ψ (``sim.apply_pauli_batch``), and the walk undoes each
+run of consecutive cnots with one gather, the run in reverse order. A
+batch costs one forward pass and one backward walk, O(ops) gate
+applications whatever the number of angles, and keeps no per-op state.
+The readout weights get their exact gradients from the same forward
+pass:
 dL/dscale[k] = Σ dL/dlogit[k]·⟨Z_k⟩ and dL/dbias[k] = Σ dL/dlogit[k].
 The test suite checks the gradients against finite differences and
 against the naive parameter-shift rule, two full circuits per angle.
@@ -41,6 +46,7 @@ in a fixed order.
 
 from __future__ import annotations
 
+import itertools
 import math
 import time
 from dataclasses import dataclass, field
@@ -147,12 +153,17 @@ def _wrap_angles(values: np.ndarray) -> np.ndarray:
 
 
 def encode_batch(model: Model, x: np.ndarray) -> np.ndarray:
-    """States after the per-sample RX feature encoding, shape (batch, 2**n)."""
+    """States after the per-sample RX feature encoding, shape (batch, 2**n).
+
+    The outer product of the RX(x)|0⟩ columns, qubit 0 first, multiplies
+    the same factors in the same order as applying each RX in turn.
+    """
     x = np.atleast_2d(x)
-    states = np.zeros((x.shape[0], 1 << model.n_qubits), dtype=complex)
-    states[:, 0] = 1.0
+    states = np.ones((x.shape[0], 1), dtype=complex)
     for q in range(model.n_qubits):
-        states = sim.apply_rx_batch(states, q, x[:, q % model.feature_count])
+        theta = x[:, q % model.feature_count]
+        col = np.stack([np.cos(theta / 2), -1j * np.sin(theta / 2)], axis=1)
+        states = (states[:, :, None] * col[:, None, :]).reshape(len(x), -1)
     return states
 
 
@@ -200,14 +211,10 @@ def _cross_entropy(probs: np.ndarray, y: np.ndarray) -> float:
     return float(-np.log(np.maximum(picked, 1e-300)).mean())
 
 
-_GENERATOR = {
-    GateKind.RX: gates.unitary(GateKind.X),
-    GateKind.RY: gates.unitary(GateKind.Y),
-    GateKind.RZ: gates.unitary(GateKind.Z),
-}
+_GENERATOR = {GateKind.RX: GateKind.X, GateKind.RY: GateKind.Y, GateKind.RZ: GateKind.Z}
 
 
-def _factors(op: Op) -> list[tuple[np.ndarray, np.ndarray]]:
+def _factors(op: Op) -> list[tuple[GateKind, np.ndarray]]:
     """(Pauli generator, 2×2 matrix) of every angle of a trainable op, circuit order."""
     return [
         (_GENERATOR[kind], gates.unitary(kind, (angle,)))
@@ -250,29 +257,31 @@ def _loss_and_gradients(
     # co-state λ = Σ_k (dL/dlogit_k · scale_k) Z_k ψ, stacked under ψ so
     # that one kernel call walks both back through each op
     weights = dl_dz * model.readout_scale
-    z = _GENERATOR[GateKind.RZ]
     lam = sum(
-        weights[:, k, None] * sim.apply_1q_batch(states, z, q)
+        weights[:, k, None] * sim.apply_pauli_batch(states, GateKind.Z, q)
         for k, q in enumerate(model.readout_qubits)
     )
     pair = np.concatenate([states, lam])
     grad = np.zeros(len(slots))
     s = len(slots)
-    for i in range(len(ops) - 1, slots[0][0] - 1, -1):
-        op = ops[i]
-        if op.kind is GateKind.CNOT:
-            pair = sim.apply_cnot_batch(pair, *op.qubits)  # cnot is its own inverse
+    walked = reversed(ops[slots[0][0] :])
+    for is_cnot, group in itertools.groupby(walked, key=sim.is_cnot_op):
+        if is_cnot:
+            # a cnot is its own inverse, so U† of a run is the run reversed,
+            # which is the order the walk meets it in
+            pair = sim.apply_cnots_batch(pair, [op.qubits for op in group])
             continue
-        q = op.qubits[0]
-        if not op.trainable:
-            pair = sim.apply_1q_batch(pair, gates.unitary(op.kind, op.angles).conj().T, q)
-            continue
-        for generator, u in reversed(_factors(op)):
-            # d⟨O⟩/dθ = Im⟨λ|P|ψ⟩ just after the factor exp(-iθP/2)
-            s -= 1
-            p_psi = sim.apply_1q_batch(pair[:batch], generator, q)
-            grad[s] = float(np.vdot(pair[batch:], p_psi).imag)
-            pair = sim.apply_1q_batch(pair, u.conj().T, q)
+        for op in group:
+            q = op.qubits[0]
+            if not op.trainable:
+                pair = sim.apply_1q_batch(pair, gates.unitary(op.kind, op.angles).conj().T, q)
+                continue
+            for pauli, u in reversed(_factors(op)):
+                # d⟨O⟩/dθ = Im⟨λ|P|ψ⟩ just after the factor exp(-iθP/2)
+                s -= 1
+                p_psi = sim.apply_pauli_batch(pair[:batch], pauli, q)
+                grad[s] = float(np.vdot(pair[batch:], p_psi).imag)
+                pair = sim.apply_1q_batch(pair, u.conj().T, q)
     return loss, grad, readout_grad
 
 

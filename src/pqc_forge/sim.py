@@ -9,7 +9,12 @@ tensor, O(2**n) work per gate; no 2**n × 2**n matrix is ever formed.
 Internally every kernel works on a flat (rows, 2**n) array reshaped to
 (rows, 2**q, 2, 2**(n-1-q)) views, which keeps the hot slice arithmetic
 contiguous; training loops hammer these kernels, so per-call overhead
-matters more than elegance here.
+matters more than elegance here. A cnot only moves amplitudes, so each
+maximal run of consecutive cnots is applied as one gather through the
+composed index permutation, cached per run and qubit count. Pauli
+generator products (``apply_pauli_batch``) are signed permutations too:
+a swap of each amplitude pair, a sign or a ±i phase, with the values the
+2×2 kernel would give for the Pauli matrix.
 
 All functions are pure: inputs are never mutated. The batched variants
 take an array of shape (batch, 2**n); ``run`` is ``run_batch`` on one
@@ -18,6 +23,9 @@ state, with a norm check.
 
 from __future__ import annotations
 
+import functools
+import itertools
+
 import numpy as np
 
 from . import gates
@@ -25,6 +33,7 @@ from .circuit import Circuit, Op
 from .gates import GateKind
 
 NORM_ATOL = 1e-10
+_EYE = np.eye(8)  # I for the u ⊗ I products of _apply_1q_flat
 
 
 def zero_state(n_qubits: int) -> np.ndarray:
@@ -41,41 +50,30 @@ def _apply_1q_flat(psi: np.ndarray, u: np.ndarray, q: int, n: int) -> np.ndarray
     cover the range: a flat (·, 2) @ uᵀ product when the pairs are
     adjacent, a (·, 2·post) product against u ⊗ I when they are close
     (small GEMMs with K=2 are pathological in BLAS), and a broadcast
-    (2, 2) @ (·, 2, post) product when they are far apart.
+    (2, 2) @ (·, 2, post) product when they are far apart. u ⊗ I is
+    built by broadcasting u against a stored identity, the same
+    products ``np.kron`` forms without its per-call set-up.
     """
     rows = psi.shape[0]
     post = 1 << (n - 1 - q)
     if post == 1:
         return (psi.reshape(-1, 2) @ u.T).reshape(rows, -1)
     if post <= 8:
-        w = np.kron(u, np.eye(post)).T
+        eye = _EYE[:post, :post]
+        w = (u[:, None, :, None] * eye[None, :, None, :]).reshape(2 * post, 2 * post).T
         return (psi.reshape(-1, 2 * post) @ w).reshape(rows, -1)
     return np.matmul(u, psi.reshape(-1, 2, post)).reshape(rows, -1)
 
 
-_CNOT_PERMS: dict[tuple[int, int, int], np.ndarray] = {}
-
-
-def _cnot_perm(c: int, t: int, n: int) -> np.ndarray:
-    key = (c, t, n)
-    perm = _CNOT_PERMS.get(key)
-    if perm is None:
-        idx = np.arange(1 << n)
-        ctrl = (idx >> (n - 1 - c)) & 1
-        perm = np.where(ctrl == 1, idx ^ (1 << (n - 1 - t)), idx)
-        _CNOT_PERMS[key] = perm
-    return perm
-
-
-def _apply_cnot_flat(psi: np.ndarray, c: int, t: int, n: int) -> np.ndarray:
-    """cnot is a pure amplitude permutation; apply it as one gather."""
-    return psi[:, _cnot_perm(c, t, n)]
-
-
-def _apply_flat(psi: np.ndarray, op: Op, n: int) -> np.ndarray:
-    if op.kind is GateKind.CNOT:
-        return _apply_cnot_flat(psi, op.qubits[0], op.qubits[1], n)
-    return _apply_1q_flat(psi, gates.unitary(op.kind, op.angles), op.qubits[0], n)
+@functools.lru_cache(maxsize=256)
+def _run_perm(pairs: tuple[tuple[int, int], ...], n: int) -> np.ndarray:
+    """Gather index of the cnots ``pairs`` applied in order to 2**n amplitudes:
+    the composition of their bit-flip maps, the last cnot's applied first."""
+    idx = np.arange(1 << n)
+    for c, t in reversed(pairs):
+        idx = idx ^ (((idx >> (n - 1 - c)) & 1) << (n - 1 - t))
+    idx.flags.writeable = False
+    return idx
 
 
 def apply_1q_batch(states: np.ndarray, u: np.ndarray, qubit: int) -> np.ndarray:
@@ -90,12 +88,49 @@ def apply_1q_batch(states: np.ndarray, u: np.ndarray, qubit: int) -> np.ndarray:
 
 def apply_cnot_batch(states: np.ndarray, control: int, target: int) -> np.ndarray:
     """cnot applied to a (batch, 2**n) stack."""
+    return apply_cnots_batch(states, ((control, target),))
+
+
+def apply_cnots_batch(states: np.ndarray, pairs) -> np.ndarray:
+    """The cnots ``pairs`` = ((control, target), ...) applied in order to a
+    (batch, 2**n) stack, as one gather."""
     n = states.shape[1].bit_length() - 1
-    return _apply_cnot_flat(states, control, target, n)
+    return states[:, _run_perm(tuple(map(tuple, pairs)), n)]
+
+
+# the factors Z and Y put on the (bit 0, bit 1) halves of each pair
+_Z_SIGNS = np.array([[1.0], [-1.0]])
+_Y_PHASES = np.array([[-1j], [1j]])
+
+
+def apply_pauli_batch(states: np.ndarray, pauli: GateKind, qubit: int) -> np.ndarray:
+    """X, Y or Z on one qubit of a (batch, 2**n) stack, as a signed permutation.
+
+    X swaps the halves of every amplitude pair, Z negates the bit-1 half
+    and Y swaps and multiplies by ∓i. Every product of the 2×2 kernel
+    with a Pauli matrix is by 0 or ±1 (±i), so this gives the values of
+    ``apply_1q_batch`` with the Pauli matrix exactly, up to the sign of
+    a zero.
+    """
+    rows = states.shape[0]
+    n = states.shape[1].bit_length() - 1
+    v = states.reshape(rows, 1 << qubit, 2, 1 << (n - 1 - qubit))
+    if pauli is GateKind.Z:
+        return (v * _Z_SIGNS).reshape(rows, -1)
+    swapped = v[:, :, ::-1, :]
+    if pauli is GateKind.X:
+        return np.ascontiguousarray(swapped).reshape(rows, -1)
+    if pauli is GateKind.Y:
+        return (swapped * _Y_PHASES).reshape(rows, -1)
+    raise ValueError(f"{pauli.value} is not a Pauli gate")
 
 
 def apply_rx_batch(states: np.ndarray, qubit: int, thetas: np.ndarray) -> np.ndarray:
-    """RX with a different angle per batch entry (feature encoding)."""
+    """RX with a different angle per batch entry.
+
+    ``encode_batch`` no longer calls it; it stays as the reference that
+    encoding is tested against and a kernel the benchmark traces by name.
+    """
     rows = states.shape[0]
     n = states.shape[1].bit_length() - 1
     c = np.cos(thetas / 2)[:, None, None]
@@ -134,9 +169,18 @@ def run_batch(c: Circuit, states: np.ndarray) -> np.ndarray:
     if states.ndim != 2 or states.shape[1] != dim:
         raise ValueError(f"expected shape (batch, {dim}), got {states.shape}")
     psi = np.asarray(states, dtype=complex)
-    for op in c.ops:
-        psi = _apply_flat(psi, op, c.n_qubits)
+    for is_cnot, group in itertools.groupby(c.ops, key=is_cnot_op):
+        if is_cnot:
+            psi = apply_cnots_batch(psi, [op.qubits for op in group])
+            continue
+        for op in group:
+            psi = _apply_1q_flat(psi, gates.unitary(op.kind, op.angles), op.qubits[0], c.n_qubits)
     return psi
+
+
+def is_cnot_op(op: Op) -> bool:
+    """Groups ops into maximal cnot runs with ``itertools.groupby``."""
+    return op.kind is GateKind.CNOT
 
 
 def expect_z(state: np.ndarray, qubit: int) -> float:

@@ -285,6 +285,14 @@ def test_sweep_dataset_without_sidecar_fails(runner, tmp_path):
             "has a hi bound below its lo bound",
         ),
         (
+            lambda meta: meta["readout_scale"].__setitem__(0, float("nan")),
+            "has a non-finite readout scale",
+        ),
+        (
+            lambda meta: meta["readout_bias"].__setitem__(2, float("-inf")),
+            "has a non-finite readout bias",
+        ),
+        (
             lambda meta: meta.update(normalization=None),
             "has a malformed entry: 'NoneType' object is not subscriptable",
         ),
@@ -299,7 +307,7 @@ def test_sweep_dataset_without_sidecar_fails(runner, tmp_path):
     ],
     ids=[
         "missing-key", "qubit-count", "class-count", "bounds-length", "bounds-non-finite",
-        "bounds-reversed", "wrong-type",
+        "bounds-reversed", "readout-nan", "readout-infinity", "wrong-type",
         "no-features", "no-classes",
     ],
 )

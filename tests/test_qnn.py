@@ -1,6 +1,7 @@
 """Datasets, model structure, gradients, and the training loop."""
 
 import csv
+import hashlib
 import json
 import math
 
@@ -156,6 +157,19 @@ def test_encoding_cycles_features(iris):
     assert np.max(np.abs(enc[0] - ref)) <= 1e-12
 
 
+def test_product_state_encoding_equals_the_rx_chain(iris):
+    rng = np.random.default_rng(9)
+    special = np.array([[0.0, math.pi, -math.pi, 1e-300], [math.pi / 2, 0.0, 2.0, -0.0]])
+    x = np.concatenate([iris.train_x[:8], rng.uniform(-4, 4, (4, 4)), special])
+    for n in range(3, 11):
+        m = qnn.build_model(qnn.LayerSpec(BEL, 1, n), iris, seed=0)
+        chain = np.zeros((len(x), 1 << n), dtype=complex)
+        chain[:, 0] = 1.0
+        for q in range(n):
+            chain = sim.apply_rx_batch(chain, q, x[:, q % 4])
+        assert np.array_equal(encode_batch(m, x), chain)
+
+
 def test_forward_identity_ansatz_symmetric(iris):
     m = qnn.Model(
         ansatz=Circuit(2),
@@ -277,6 +291,29 @@ def test_gradient_matches_parameter_shift(iris, ansatz, affine, batch):
     want = parameter_shift_gradient(m, x, y)
     assert grad.shape == want.shape == (len(trainable_slots(m.ansatz)),)
     assert np.max(np.abs(grad - want)) <= 1e-12
+
+
+# loss.hex() and the SHA-256 of every angle- and readout-gradient entry's
+# .hex(), for a 16-row batch under an affine readout
+PINNED_GRADIENTS = [
+    (BEL, 2, 4, "0x1.d98990d1dfd6dp-1", "664e2bc7da482601f95eaeba328bfa474db5e2d30e57d24cd36b779380daf86b"),
+    (SEL, 2, 4, "0x1.4ce9cc01162c2p+0", "9e520ed2216cc7bb904b51780986f26bacf13aa077d019390cca145f2814d7e1"),
+    (SEL, 3, 5, "0x1.04e35fc95609cp+0", "62ab3fed3d4bd5c1f956c5847640addb3d43bb80650ae0b1ddf693cdedfe0066"),
+]
+
+
+@pytest.mark.parametrize(
+    "kind, layers, n, loss_hex, grad_digest", PINNED_GRADIENTS, ids=["bel-2-4", "sel-2-4", "sel-3-5"]
+)
+def test_pinned_gradients(iris, kind, layers, n, loss_hex, grad_digest):
+    # training noise moves trained angles and with them greedy decisions,
+    # so the simulator's and the walk's rounding are pinned bit for bit
+    m = qnn.build_model(qnn.LayerSpec(kind, layers, n), iris, seed=0)
+    m = m.with_readout(np.array([1.5, -0.7, 2.0]), np.array([0.1, -0.2, 0.05]))
+    loss, grad, readout_grad = _loss_and_gradients(m, iris.train_x[:16], iris.train_y[:16])
+    assert loss.hex() == loss_hex
+    hexes = " ".join(float(v).hex() for v in [*grad, *readout_grad])
+    assert hashlib.sha256(hexes.encode()).hexdigest() == grad_digest
 
 
 def test_readout_gradient_matches_finite_differences(iris):

@@ -140,3 +140,71 @@ def test_apply_1q_and_cnot_kernels_match_embed():
         got = sim.apply_cnot_batch(v[None, :], int(c), int(t))[0]
         want = embed(GateKind.CNOT, (int(c), int(t)), n) @ v
         assert np.max(np.abs(got - want)) <= 1e-12
+
+
+def test_fused_cnot_runs_equal_op_by_op():
+    # cnot runs of length 1-12 between 1q ops, with repeated and reversed pairs
+    rng = np.random.default_rng(48)
+    for n in range(2, 8):
+        ops = []
+        for _ in range(6):
+            ops.append(Op(GateKind.RY, (int(rng.integers(n)),), (float(rng.uniform(-3, 3)),)))
+            length, run = int(rng.integers(1, 13)), []
+            while len(run) < length:
+                c, t = (int(q) for q in rng.choice(n, size=2, replace=False))
+                run += [(c, t)] if rng.random() < 0.5 else [(c, t), (c, t), (t, c)]
+            ops += [Op(GateKind.CNOT, pair) for pair in run[:length]]
+        c = Circuit(n, tuple(ops))
+        states = np.stack([random_state(rng, n) for _ in range(3)])
+        want = states
+        for op in c.ops:
+            want = np.stack([apply_op(row, op, n) for row in want])
+        assert np.array_equal(sim.run_batch(c, states), want)
+
+
+def test_cnot_runs_move_amplitudes_exactly():
+    # a permutation matrix times a state forms each output from one
+    # nonzero product, so the dense oracle is exact here
+    rng = np.random.default_rng(49)
+    for n in range(2, 7):
+        pairs = [tuple(int(q) for q in rng.choice(n, size=2, replace=False)) for _ in range(12)]
+        for length in (1, 2, 5, 12):
+            c = Circuit(n, tuple(Op(GateKind.CNOT, p) for p in pairs[:length]))
+            v = random_state(rng, n)
+            assert np.array_equal(sim.run_batch(c, v[None, :])[0], full_unitary(c) @ v)
+        a, b = pairs[0]
+        back_and_forth = Circuit(n, tuple(Op(GateKind.CNOT, p) for p in [(a, b), (b, a), (b, a), (a, b)]))
+        assert np.array_equal(sim.run_batch(back_and_forth, v[None, :])[0], v)
+
+
+@pytest.mark.parametrize("pauli", [GateKind.X, GateKind.Y, GateKind.Z])
+def test_pauli_products_equal_the_matrix_kernel(pauli):
+    from pqc_forge import gates
+
+    rng = np.random.default_rng(50)
+    for n in range(1, 11):
+        states = np.stack([random_state(rng, n) for _ in range(3)])
+        states[0, :: 3] = 0.0  # exact zeros take part too
+        for q in range(n):
+            got = sim.apply_pauli_batch(states, pauli, q)
+            assert np.array_equal(got, sim.apply_1q_batch(states, gates.unitary(pauli), q))
+    assert got is not states and got.flags.c_contiguous
+
+
+def test_pauli_products_reject_other_gates():
+    with pytest.raises(ValueError, match="not a Pauli"):
+        sim.apply_pauli_batch(sim.zero_state(2)[None, :], GateKind.H, 0)
+
+
+def test_close_pairs_use_the_kron_product_exactly():
+    from pqc_forge import gates
+
+    rng = np.random.default_rng(51)
+    n = 6
+    states = np.stack([random_state(rng, n) for _ in range(4)])
+    for q in (2, 3, 4):  # pairs 8, 4 and 2 amplitudes apart
+        post = 1 << (n - 1 - q)
+        for _ in range(100):
+            u = gates.rx(float(rng.uniform(-4, 4))) @ gates.unitary(GateKind.SX)
+            want = (states.reshape(-1, 2 * post) @ np.kron(u, np.eye(post)).T).reshape(4, -1)
+            assert np.array_equal(sim.apply_1q_batch(states, u, q), want)
