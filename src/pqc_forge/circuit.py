@@ -15,9 +15,11 @@ that parse ∘ serialize is the identity on circuits and serialize ∘ parse
 is the identity on canonical text.
 
 Depth is the longest path in the dependency DAG where two ops conflict
-iff they share a qubit. The decomposed variants first expand every op
-over the {cx, id, rz, sx, x} basis (id vanishes); no cross-gate fusion is
-applied, so counts are reproducible.
+iff they share a qubit. The decomposed variants count every op by its
+``gates.BASIS_COST``, the length of its own rewrite over the
+{cx, id, rz, sx, x} basis (id vanishes); no cross-gate fusion is
+applied, so counts are reproducible. ``tests/helpers.py`` holds the
+verified rewrite, and the tests check these counts against it.
 """
 
 from __future__ import annotations
@@ -25,8 +27,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 
-from . import gates
-from .gates import GateKind, N_ANGLES, ROTATION_KINDS
+from .gates import BASIS_COST, GateKind, N_ANGLES, ROTATION_KINDS
 
 MAX_ANGLE = 4 * math.pi
 
@@ -191,35 +192,34 @@ def save(c: Circuit, path) -> None:
         fh.write(serialize(c))
 
 
-def _dag_depth(qubit_lists) -> int:
-    """Longest path where ops conflict iff they share a qubit."""
-    wire_depth: dict[int, int] = {}
-    deepest = 0
-    for qs in qubit_lists:
-        d = 1 + max((wire_depth.get(q, 0) for q in qs), default=0)
-        for q in qs:
-            wire_depth[q] = d
-        deepest = max(deepest, d)
-    return deepest
-
-
-def decompose(c: Circuit) -> Circuit:
-    """Expand every op over the {cx, id, rz, sx, x} basis (id dropped)."""
-    out: list[Op] = []
-    for op in c.ops:
-        for kind, angles in gates.decompose_to_basis(op.kind, op.angles):
-            out.append(Op(kind, op.qubits, angles))
-    return Circuit(c.n_qubits, tuple(out))
-
-
 def metrics(c: Circuit) -> CircuitMetrics:
-    decomposed = decompose(c)
-    params = sum(len(op.angles) for op in c.ops if op.trainable)
+    """Counts, depths and trainable angles of ``c`` in one pass over its ops.
+
+    A single-qubit op adds its basis cost to its wire's basis depth and 1
+    to its logical depth; a cnot sets both its wires to their max + 1.
+    Depths live in dicts keyed by the wires the ops touch, so the work
+    does not grow with ``n_qubits``.
+    """
+    logical: dict[int, int] = {}
+    basis: dict[int, int] = {}
+    gate_count = params = 0
+    for op in c.ops:
+        cost = BASIS_COST[op.kind]
+        gate_count += cost
+        if op.trainable:
+            params += len(op.angles)
+        if op.kind is GateKind.CNOT:
+            a, b = op.qubits
+            logical[a] = logical[b] = max(logical.get(a, 0), logical.get(b, 0)) + 1
+            basis[a] = basis[b] = max(basis.get(a, 0), basis.get(b, 0)) + 1
+        else:
+            (q,) = op.qubits
+            logical[q] = logical.get(q, 0) + 1
+            basis[q] = basis.get(q, 0) + cost
     return CircuitMetrics(
-        logical_depth=_dag_depth(op.qubits for op in c.ops),
+        logical_depth=max(logical.values(), default=0),
         logical_gate_count=len(c.ops),
-        decomposed_depth=_dag_depth(op.qubits for op in decomposed.ops),
-        decomposed_gate_count=len(decomposed.ops),
+        decomposed_depth=max(basis.values(), default=0),
+        decomposed_gate_count=gate_count,
         remaining_parameters=params,
     )
-

@@ -35,7 +35,7 @@ from .gates import GateKind, unitary
 from .greedy import GreedyParams, exhaustive_oracle, transform_batch
 from .matrix import DistanceMetric
 from .optimizer import OptimizeConfig, OptimizeMode, optimize, sweep
-from .qnn.model import sidecar_path
+from .qnn.model import check_model_path, sidecar_path
 
 _TRAIN_DEFAULTS = qnn.TrainConfig()
 _GREEDY_DEFAULTS = GreedyParams()
@@ -236,22 +236,25 @@ def cmd_metrics(in_path, json_path):
 @click.option("--report", "report_path", type=click.Path(), default=None)
 def cmd_optimize(in_path, tolerance, mode, iters, top_k, metric, seed, out_path, report_path):
     """Replace parametric gates whose approximation beats the tolerance."""
+    out_path = out_path or str(Path(in_path).with_suffix(".opt.qc"))
+    # a model circuit keeps its sidecar usable after optimization; a
+    # circuit file named *.json is its own sidecar path and has none
+    side = sidecar_path(in_path)
+    has_sidecar = side != Path(in_path) and side.exists()
     with _usage_errors():
         cfg = OptimizeConfig(
             tolerance=tolerance,
             greedy=GreedyParams(iters, top_k, _METRICS[metric], seed),
             mode=_MODES[mode],
         )
+        if has_sidecar:
+            check_model_path(out_path)
     new_c, report = optimize(_load(f"circuit {in_path}", circ.load, in_path), cfg)
-    out_path = out_path or str(Path(in_path).with_suffix(".opt.qc"))
     report_path = report_path or str(Path(out_path).with_suffix(".report.json"))
     circ.save(new_c, out_path)
     _write_json(report_path, {**report.as_dict(), "manifest": _manifest()})
-    # a model circuit keeps its sidecar usable after optimization
-    side = sidecar_path(in_path)
-    if side.exists():
-        side_out = sidecar_path(out_path)
-        side_out.write_text(side.read_text(encoding="utf-8"), encoding="utf-8")
+    if has_sidecar:
+        sidecar_path(out_path).write_text(side.read_text(encoding="utf-8"), encoding="utf-8")
     b, a = report.before, report.after
     click.echo(
         f"replaced {report.replaced_count}/{report.transform_calls} targets; "
@@ -328,6 +331,7 @@ def cmd_train(dataset, data_path, layer_kind, layers, qubits, epochs, lr, batch_
         cfg = qnn.TrainConfig(
             epochs=epochs, learning_rate=lr, batch_size=batch_size, seed=seed
         )
+        check_model_path(out_path)
     ds = _load(f"dataset {dataset}", qnn.load_dataset, dataset, data_path, seed)
     with _usage_errors():
         model = qnn.build_model(spec, ds, seed=seed)
@@ -359,6 +363,7 @@ def cmd_retrain(model_path, dataset, data_path, epochs, lr, batch_size, seed, ou
         cfg = qnn.TrainConfig(
             epochs=epochs, learning_rate=lr, batch_size=batch_size, seed=seed
         )
+        check_model_path(out_path)
     model, ds = _model_and_dataset(model_path, dataset, data_path)
     model, history = qnn.retrain(model, ds, cfg)
     for warning in history.warnings:

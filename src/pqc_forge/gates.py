@@ -1,4 +1,4 @@
-"""Gate catalog: single-qubit unitaries and basis decomposition.
+"""Gate catalog: single-qubit unitaries and basis costs.
 
 Conventions fixed here and relied on everywhere else:
 
@@ -13,12 +13,13 @@ The search alphabet is the 11 fixed single-qubit gates, in this order:
 x, y, z, h, s, t, id, sx, sdg, sxdg, tdg. The order matters: it breaks
 ties deterministically in the greedy search.
 
-``decompose_to_basis`` rewrites any catalog gate over the hardware basis
-{cx, id, rz, sx, x}, used for depth / gate-count accounting. Generic
-single-qubit gates take the 5-element rz·sx·rz·sx·rz Euler form; exact
-special cases (phase gates, h, sxdg) use shorter table entries. Every
-table entry is checked against the gate unitary by the test suite, up to
-global phase, at 1e-9.
+``BASIS_COST`` is the number of gates each kind rewrites to over the
+hardware basis {cx, id, rz, sx, x}, up to global phase, used for depth /
+gate-count accounting. Generic single-qubit gates (y, rx, ry, r) take the
+5-element rz·sx·rz·sx·rz Euler form; exact special cases (phase gates, h,
+sxdg) are shorter; id vanishes. ``tests/helpers.py`` holds the rewrite
+itself, and the test suite checks every cost against it and every
+rewrite against the gate unitary, up to global phase, at 1e-9.
 """
 
 from __future__ import annotations
@@ -27,8 +28,6 @@ import math
 from enum import Enum
 
 import numpy as np
-
-from .matrix import check_unitary
 
 
 class GateKind(Enum):
@@ -69,6 +68,11 @@ ROTATION_KINDS = frozenset({GateKind.RX, GateKind.RY, GateKind.RZ, GateKind.R3})
 
 N_ANGLES: dict[GateKind, int] = {kind: 0 for kind in GateKind}
 N_ANGLES.update({GateKind.RX: 1, GateKind.RY: 1, GateKind.RZ: 1, GateKind.R3: 3})
+
+# Gates of the {cx, id, rz, sx, x} rewrite of each kind, up to phase.
+BASIS_COST: dict[GateKind, int] = {kind: 1 for kind in GateKind}
+BASIS_COST.update({GateKind.ID: 0, GateKind.H: 3, GateKind.SXDG: 3})
+BASIS_COST.update({kind: 5 for kind in (GateKind.Y, GateKind.RX, GateKind.RY, GateKind.R3)})
 
 _SQ2 = 1.0 / math.sqrt(2.0)
 
@@ -143,81 +147,3 @@ def rotation_factors(op) -> list[tuple[GateKind, float]]:
         phi, theta, omega = op.angles
         return [(GateKind.RZ, phi), (GateKind.RY, theta), (GateKind.RZ, omega)]
     return [(op.kind, op.angles[0])]
-
-
-def euler_zsxz(u: np.ndarray) -> tuple[float, float, float]:
-    """Angles (α, β, γ) with RZ(α)·SX·RZ(β)·SX·RZ(γ) equal to u up to phase.
-
-    Goes through the ZYZ form u ~ RZ(φ)·RY(θ)·RZ(λ) and the identity
-    RY(θ) ~ RZ(π)·SX·RZ(θ+π)·SX, giving α = φ+π, β = θ+π, γ = λ.
-    """
-    check_unitary(u, atol=1e-9)
-    det = u[0, 0] * u[1, 1] - u[0, 1] * u[1, 0]
-    m = u / np.sqrt(det)  # SU(2) up to sign; sign is a global phase
-    theta = 2.0 * math.atan2(abs(m[1, 0]), abs(m[0, 0]))
-    if abs(m[0, 0]) < 1e-12:  # pure off-diagonal: only φ-λ is determined
-        plus = 0.0
-        minus = 2.0 * np.angle(m[1, 0])
-    elif abs(m[1, 0]) < 1e-12:  # diagonal: only φ+λ is determined
-        plus = 2.0 * np.angle(m[1, 1])
-        minus = 0.0
-    else:
-        plus = 2.0 * np.angle(m[1, 1])
-        minus = 2.0 * np.angle(m[1, 0])
-    phi = (plus + minus) / 2.0
-    lam = (plus - minus) / 2.0
-    return phi + math.pi, theta + math.pi, lam
-
-
-BasisGate = tuple[GateKind, tuple[float, ...]]
-
-# Exact rewritings over {cx, id, rz, sx, x}, valid up to global phase.
-# Sequences are in circuit order (first gate acts first). Verified against
-# the generic Euler form by the unitary-equivalence tests.
-_PI = math.pi
-_TABLE: dict[GateKind, tuple[BasisGate, ...]] = {
-    GateKind.ID: (),
-    GateKind.X: ((GateKind.X, ()),),
-    GateKind.SX: ((GateKind.SX, ()),),
-    GateKind.Z: ((GateKind.RZ, (_PI,)),),
-    GateKind.S: ((GateKind.RZ, (_PI / 2,)),),
-    GateKind.SDG: ((GateKind.RZ, (-_PI / 2,)),),
-    GateKind.T: ((GateKind.RZ, (_PI / 4,)),),
-    GateKind.TDG: ((GateKind.RZ, (-_PI / 4,)),),
-    GateKind.H: (
-        (GateKind.RZ, (_PI / 2,)),
-        (GateKind.SX, ()),
-        (GateKind.RZ, (_PI / 2,)),
-    ),
-    GateKind.SXDG: (
-        (GateKind.RZ, (_PI,)),
-        (GateKind.SX, ()),
-        (GateKind.RZ, (_PI,)),
-    ),
-}
-
-
-def decompose_to_basis(
-    kind: GateKind, angles: tuple[float, ...] = ()
-) -> list[BasisGate]:
-    """Basis-gate sequence for one catalog gate, in circuit order.
-
-    cx, x, sx pass through; rz keeps its angle; id vanishes; exact phase
-    gates shorten to a single rz; everything else (rx, ry, r, y) gets the
-    generic 5-element Euler form. Lengths are what the depth / gate-count
-    metrics count.
-    """
-    if kind is GateKind.CNOT:
-        return [(GateKind.CNOT, ())]
-    if kind is GateKind.RZ:
-        return [(GateKind.RZ, (angles[0],))]
-    if kind in _TABLE:
-        return list(_TABLE[kind])
-    alpha, beta, gamma = euler_zsxz(unitary(kind, angles))
-    return [
-        (GateKind.RZ, (gamma,)),
-        (GateKind.SX, ()),
-        (GateKind.RZ, (beta,)),
-        (GateKind.SX, ()),
-        (GateKind.RZ, (alpha,)),
-    ]

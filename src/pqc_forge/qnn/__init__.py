@@ -16,7 +16,6 @@ from .training import (
     TrainConfig,
     accuracy,
     evaluate,
-    forward,
     loss_and_gradient,
     predict,
     retrain,
@@ -34,7 +33,6 @@ __all__ = [
     "build_ansatz",
     "build_model",
     "evaluate",
-    "forward",
     "load_dataset",
     "load_model",
     "loss_and_gradient",

@@ -165,9 +165,17 @@ def sidecar_path(path) -> Path:
     return Path(path).with_suffix(".json")
 
 
+def check_model_path(path) -> Path:
+    """``path`` as a Path; ValueError when it is its own sidecar path (ends in .json)."""
+    path = Path(path)
+    if sidecar_path(path) == path:
+        raise ValueError(f"model path {path} ends in .json, which its sidecar would overwrite")
+    return path
+
+
 def save_model(model: Model, path, extra: dict | None = None) -> None:
     """Write ``path`` (circuit text) and its JSON sidecar."""
-    path = Path(path)
+    path = check_model_path(path)
     circ.save(model.ansatz, path)
     meta = {
         "format": SIDECAR_FORMAT,

@@ -131,19 +131,22 @@ def get_params(c: Circuit) -> np.ndarray:
 
 
 def set_params(c: Circuit, values: np.ndarray) -> Circuit:
-    """Circuit with trainable angles replaced by ``values`` (slot order)."""
-    slots = trainable_slots(c)
-    if len(values) != len(slots):
-        raise ValueError(f"expected {len(slots)} values, got {len(values)}")
-    by_op: dict[int, dict[int, float]] = {}
-    for (i, a), v in zip(slots, values):
-        by_op.setdefault(i, {})[a] = float(v)
-    ops = list(c.ops)
-    for i, updates in by_op.items():
-        angles = tuple(
-            updates.get(a, ops[i].angles[a]) for a in range(len(ops[i].angles))
-        )
-        ops[i] = Op(ops[i].kind, ops[i].qubits, angles, ops[i].trainable)
+    """Circuit with trainable angles replaced by ``values`` (slot order).
+
+    One walk over the ops: each trainable op takes the next
+    ``len(op.angles)`` values.
+    """
+    flat = [float(v) for v in values]
+    ops, used = [], 0
+    for op in c.ops:
+        if op.trainable:
+            angles = tuple(flat[used : used + len(op.angles)])
+            used += len(op.angles)
+            if used <= len(flat):  # too few values is reported below
+                op = Op(op.kind, op.qubits, angles, True)
+        ops.append(op)
+    if used != len(flat):
+        raise ValueError(f"expected {used} values, got {len(flat)}")
     return c.with_ops(ops)
 
 
@@ -187,12 +190,6 @@ def softmax(z: np.ndarray) -> np.ndarray:
     z = z - z.max(axis=-1, keepdims=True)
     e = np.exp(z)
     return e / e.sum(axis=-1, keepdims=True)
-
-
-def forward(model: Model, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(logits, probabilities) for a single feature vector."""
-    z = logits_batch(model, np.asarray(x, dtype=float)[None, :])[0]
-    return z, softmax(z)
 
 
 def predict(model: Model, x: np.ndarray) -> np.ndarray:

@@ -1,15 +1,21 @@
-"""Shared circuit factories and dense oracles for the test suite.
+"""Shared circuit factories and reference oracles for the test suite.
 
 ``embed`` and ``full_unitary`` build 2ⁿ×2ⁿ matrices gate by gate; the
 tests compare the statevector simulator and the optimizer's global
-distance against them.
+distance against them. ``decompose_to_basis`` and ``decompose`` rewrite
+gates over the hardware basis {cx, id, rz, sx, x}; the tests check each
+rewrite against the gate unitary and ``gates.BASIS_COST`` against its
+length.
 """
+
+import math
 
 import numpy as np
 
 from pqc_forge import sim
 from pqc_forge.circuit import Circuit, Op
-from pqc_forge.gates import ALPHABET, GateKind, unitary
+from pqc_forge.gates import ALPHABET, N_ANGLES, ROTATION_KINDS, GateKind, unitary
+from pqc_forge.matrix import check_unitary
 
 MAX_EMBED_QUBITS = 12
 MAX_UNITARY_QUBITS = 10
@@ -33,6 +39,22 @@ def random_circuit(n_qubits, n_ops, rng, p_cnot=0.3, p_rotation=0.4):
         else:
             kind = FIXED_1Q[rng.integers(len(FIXED_1Q))]
             ops.append(Op(kind, (int(rng.integers(n_qubits)),)))
+    return Circuit(n_qubits, tuple(ops))
+
+
+def random_kind_circuit(n_qubits, n_ops, rng, p_frozen=0.3):
+    """Random circuit over every GateKind: ids, y, r gates, frozen rotations, cnots."""
+    kinds = [k for k in GateKind if n_qubits >= 2 or k is not GateKind.CNOT]
+    ops = []
+    for _ in range(n_ops):
+        kind = kinds[rng.integers(len(kinds))]
+        if kind is GateKind.CNOT:
+            q1, q2 = rng.choice(n_qubits, size=2, replace=False)
+            ops.append(Op(kind, (int(q1), int(q2))))
+            continue
+        angles = tuple(rng.uniform(-np.pi, np.pi, N_ANGLES[kind]).tolist())
+        trainable = kind in ROTATION_KINDS and rng.random() >= p_frozen
+        ops.append(Op(kind, (int(rng.integers(n_qubits)),), angles, trainable))
     return Circuit(n_qubits, tuple(ops))
 
 
@@ -118,3 +140,90 @@ def encoding_ops(x: np.ndarray, n_qubits: int, feature_count: int) -> list[Op]:
         Op(GateKind.RX, (q,), (float(x[q % feature_count]),), trainable=False)
         for q in range(n_qubits)
     ]
+
+
+def euler_zsxz(u: np.ndarray) -> tuple[float, float, float]:
+    """Angles (α, β, γ) with RZ(α)·SX·RZ(β)·SX·RZ(γ) equal to u up to phase.
+
+    Goes through the ZYZ form u ~ RZ(φ)·RY(θ)·RZ(λ) and the identity
+    RY(θ) ~ RZ(π)·SX·RZ(θ+π)·SX, giving α = φ+π, β = θ+π, γ = λ.
+    """
+    check_unitary(u, atol=1e-9)
+    det = u[0, 0] * u[1, 1] - u[0, 1] * u[1, 0]
+    m = u / np.sqrt(det)  # SU(2) up to sign; sign is a global phase
+    theta = 2.0 * math.atan2(abs(m[1, 0]), abs(m[0, 0]))
+    if abs(m[0, 0]) < 1e-12:  # pure off-diagonal: only φ-λ is determined
+        plus = 0.0
+        minus = 2.0 * np.angle(m[1, 0])
+    elif abs(m[1, 0]) < 1e-12:  # diagonal: only φ+λ is determined
+        plus = 2.0 * np.angle(m[1, 1])
+        minus = 0.0
+    else:
+        plus = 2.0 * np.angle(m[1, 1])
+        minus = 2.0 * np.angle(m[1, 0])
+    phi = (plus + minus) / 2.0
+    lam = (plus - minus) / 2.0
+    return phi + math.pi, theta + math.pi, lam
+
+
+BasisGate = tuple[GateKind, tuple[float, ...]]
+
+# Exact rewritings over {cx, id, rz, sx, x}, valid up to global phase.
+# Sequences are in circuit order (first gate acts first). Verified against
+# the generic Euler form by the unitary-equivalence tests.
+_PI = math.pi
+_TABLE: dict[GateKind, tuple[BasisGate, ...]] = {
+    GateKind.ID: (),
+    GateKind.X: ((GateKind.X, ()),),
+    GateKind.SX: ((GateKind.SX, ()),),
+    GateKind.Z: ((GateKind.RZ, (_PI,)),),
+    GateKind.S: ((GateKind.RZ, (_PI / 2,)),),
+    GateKind.SDG: ((GateKind.RZ, (-_PI / 2,)),),
+    GateKind.T: ((GateKind.RZ, (_PI / 4,)),),
+    GateKind.TDG: ((GateKind.RZ, (-_PI / 4,)),),
+    GateKind.H: (
+        (GateKind.RZ, (_PI / 2,)),
+        (GateKind.SX, ()),
+        (GateKind.RZ, (_PI / 2,)),
+    ),
+    GateKind.SXDG: (
+        (GateKind.RZ, (_PI,)),
+        (GateKind.SX, ()),
+        (GateKind.RZ, (_PI,)),
+    ),
+}
+
+
+def decompose_to_basis(
+    kind: GateKind, angles: tuple[float, ...] = ()
+) -> list[BasisGate]:
+    """Basis-gate sequence for one catalog gate, in circuit order.
+
+    cx, x, sx pass through; rz keeps its angle; id vanishes; exact phase
+    gates shorten to a single rz; everything else (rx, ry, r, y) gets the
+    generic 5-element Euler form. Lengths are what ``gates.BASIS_COST``
+    records.
+    """
+    if kind is GateKind.CNOT:
+        return [(GateKind.CNOT, ())]
+    if kind is GateKind.RZ:
+        return [(GateKind.RZ, (angles[0],))]
+    if kind in _TABLE:
+        return list(_TABLE[kind])
+    alpha, beta, gamma = euler_zsxz(unitary(kind, angles))
+    return [
+        (GateKind.RZ, (gamma,)),
+        (GateKind.SX, ()),
+        (GateKind.RZ, (beta,)),
+        (GateKind.SX, ()),
+        (GateKind.RZ, (alpha,)),
+    ]
+
+
+def decompose(c: Circuit) -> Circuit:
+    """Expand every op over the {cx, id, rz, sx, x} basis (id dropped)."""
+    out: list[Op] = []
+    for op in c.ops:
+        for kind, angles in decompose_to_basis(op.kind, op.angles):
+            out.append(Op(kind, op.qubits, angles))
+    return Circuit(c.n_qubits, tuple(out))

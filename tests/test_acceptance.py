@@ -11,9 +11,9 @@ import math
 import numpy as np
 import pytest
 
-from helpers import apply_op, full_unitary, random_1q_target, random_circuit
+from helpers import apply_op, decompose, full_unitary, random_1q_target, random_circuit
 from pqc_forge import gates, qnn
-from pqc_forge.circuit import Circuit, Op, decompose, metrics
+from pqc_forge.circuit import Circuit, Op, metrics
 from pqc_forge.gates import ALPHABET, GateKind
 from pqc_forge.greedy import GreedyParams, exhaustive_oracle, param_gate_transform
 from pqc_forge.matrix import DistanceMetric, distance

@@ -1,22 +1,20 @@
 """Circuit IR, text round-trips, and depth / gate-count metrics."""
 
 import math
+import time
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import full_unitary, random_circuit
-from pqc_forge import gates
-from pqc_forge.circuit import (
-    Circuit,
-    Op,
-    ParseError,
+from helpers import (
     decompose,
-    metrics,
-    parse,
-    serialize,
+    decompose_to_basis,
+    full_unitary,
+    random_circuit,
+    random_kind_circuit,
 )
+from pqc_forge.circuit import Circuit, Op, ParseError, metrics, parse, serialize
 from pqc_forge.gates import GateKind
 
 
@@ -129,10 +127,39 @@ def test_decomposed_count_is_sum_of_per_op_lengths():
     for _ in range(20):
         c = random_circuit(4, 25, rng)
         expected = sum(
-            len(gates.decompose_to_basis(op.kind, op.angles)) for op in c.ops
+            len(decompose_to_basis(op.kind, op.angles)) for op in c.ops
         )
         assert metrics(c).decomposed_gate_count == expected
         assert len(decompose(c).ops) == expected
+
+
+def dag_depth(ops) -> int:
+    """Longest path of the dependency DAG, op by op over all its predecessors."""
+    depth: list[int] = []
+    for i, op in enumerate(ops):
+        preds = [depth[j] for j in range(i) if set(ops[j].qubits) & set(op.qubits)]
+        depth.append(1 + max(preds, default=0))
+    return max(depth, default=0)
+
+
+def test_metrics_equal_the_rewritten_circuit():
+    rng = np.random.default_rng(14)
+    for _ in range(60):
+        c = random_kind_circuit(int(rng.integers(1, 6)), int(rng.integers(0, 40)), rng)
+        rewritten = decompose(c)
+        m = metrics(c)
+        assert m.logical_gate_count == len(c.ops)
+        assert m.logical_depth == dag_depth(c.ops)
+        assert m.decomposed_gate_count == len(rewritten.ops)
+        assert m.decomposed_depth == dag_depth(rewritten.ops)
+        assert m.remaining_parameters == sum(len(op.angles) for op in c.ops if op.trainable)
+
+
+def test_metrics_of_a_huge_register_touch_only_its_wires():
+    t0 = time.perf_counter()
+    m = metrics(parse("qubits 1000000000\nh 999999999\ncnot 0 5\n"))
+    assert time.perf_counter() - t0 < 0.5
+    assert (m.logical_depth, m.decomposed_depth, m.decomposed_gate_count) == (1, 3, 4)
 
 
 def test_remaining_parameters_counts_trainable_angles():

@@ -240,6 +240,50 @@ def test_train_eval_optimize_retrain_pipeline(runner, tmp_path):
     assert result.exit_code == 0
 
 
+def json_out_error(result, out):
+    assert result.exit_code == 2
+    assert f"model path {out} ends in .json" in result.output
+    assert "Traceback" not in result.output
+
+
+def test_train_rejects_a_json_out_path(runner, tmp_path):
+    out = tmp_path / "m.json"
+    result = runner.invoke(main, [
+        "train", "--dataset", "iris", "--qubits", "4", "--layers", "1", "--epochs", "1",
+        "--out", str(out),
+    ])
+    json_out_error(result, out)
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_retrain_rejects_a_json_out_path(runner, tmp_path):
+    path = tmp_path / "model.qc"
+    spec = qnn.LayerSpec(qnn.LayerKind.BASIC_ENTANGLER, 1, 4)
+    qnn.save_model(qnn.build_model(spec, qnn.load_dataset("iris")), path)
+    out = tmp_path / "re.json"
+    result = runner.invoke(main, ["retrain", "--model", str(path), "--out", str(out)])
+    json_out_error(result, out)
+    assert not out.exists()
+
+
+def test_optimize_rejects_a_json_out_path_only_for_a_model(runner, tmp_path):
+    path = tmp_path / "model.qc"
+    spec = qnn.LayerSpec(qnn.LayerKind.BASIC_ENTANGLER, 1, 4)
+    qnn.save_model(qnn.build_model(spec, qnn.load_dataset("iris")), path)
+    out = tmp_path / "o.json"
+    result = runner.invoke(
+        main, ["optimize", "--in", str(path), "--tolerance", "0.05", "--out", str(out)]
+    )
+    json_out_error(result, out)
+    assert not out.exists()
+    # a bare circuit has no sidecar to collide with, even under a .json name
+    bare = tmp_path / "bare.json"
+    bare.write_text("qubits 2\nrx 0 0.001\ncnot 0 1\n")
+    result = invoke(runner, "optimize", "--in", str(bare), "--tolerance", "0.05", "--out", str(out))
+    assert result.exit_code == 0
+    assert [op.kind for op in circ.load(out).ops] == [GateKind.CNOT]
+
+
 def test_sweep_with_dataset_adds_accuracy(runner, tmp_path):
     model_path = tmp_path / "model.qc"
     invoke(

@@ -1,21 +1,13 @@
-"""Gate catalog, embedding, and basis-decomposition equivalence."""
+"""Gate catalog, embedding, basis costs and basis-decomposition equivalence."""
 
 import math
 
 import numpy as np
 import pytest
 
-from helpers import embed, sequence_product
+from helpers import decompose_to_basis, embed, euler_zsxz, sequence_product
 from pqc_forge import gates
-from pqc_forge.gates import (
-    ALPHABET,
-    GateKind,
-    decompose_to_basis,
-    euler_zsxz,
-    rx,
-    rz,
-    unitary,
-)
+from pqc_forge.gates import ALPHABET, BASIS_COST, N_ANGLES, GateKind, rx, rz, unitary
 from pqc_forge.matrix import check_unitary, distance
 
 ANGLE_GRID = np.linspace(-4 * math.pi + 1e-6, 4 * math.pi - 1e-6, 32)
@@ -97,6 +89,22 @@ def test_decompose_lengths():
     for theta in (0.0, 1.0, -2.5):  # rx stays 5 even at exact special angles
         assert len(decompose_to_basis(GateKind.RX, (theta,))) == 5
     assert len(decompose_to_basis(GateKind.Y)) == 5
+
+
+def test_basis_cost_is_the_rewrite_length():
+    grid = (0.0, math.pi, -math.pi, math.pi / 2, -math.pi / 4, 1.0, -2.5)
+    rng = np.random.default_rng(14)
+    random_r = [tuple(rng.uniform(-math.pi, math.pi, 3).tolist()) for _ in range(50)]
+    for kind in GateKind:
+        n = N_ANGLES[kind]
+        if n == 0:
+            cases = [()]
+        elif n == 1:
+            cases = [(theta,) for theta in grid]
+        else:
+            cases = [(a, b, c) for a in grid for b in grid for c in grid[:3]] + random_r
+        for angles in cases:
+            assert BASIS_COST[kind] == len(decompose_to_basis(kind, angles)), (kind, angles)
 
 
 def test_shortened_forms_match_generic_euler():

@@ -66,3 +66,30 @@ def test_summary_respects_higher_is_better_and_half_done_pairs():
     assert summary["a"]["gates_after"]["change_wins"] == 2
     one = pairs.summarize(runs[:2], {"run_s": "lower"})["a"]["run_s"]
     assert one["parent"] == {"median": 1.0, "q1": 1.0, "q3": 1.0}
+
+
+def test_code_lines_skip_blanks_comments_and_docstrings(tmp_path):
+    source = '''"""Module docstring,
+over two lines."""
+
+import os  # a trailing comment keeps its line
+
+# a comment line
+
+
+class A:
+    """Class docstring."""
+
+    def f(self):
+        """Function docstring."""
+        text = """a multi-line string
+        that is not a docstring"""
+        return text
+'''
+    assert pairs.code_lines(source) == 6
+    pkg = tmp_path / "src" / "pkg"
+    pkg.mkdir(parents=True)
+    (pkg / "a.py").write_text(source, encoding="utf-8")
+    (pkg / "b.py").write_text("x = 1\n\n", encoding="utf-8")
+    assert pairs.src_lines(tmp_path) == len(source.splitlines()) + 2
+    assert pairs.src_code_lines(tmp_path) == 7

@@ -18,6 +18,7 @@ from pqc_forge.qnn.training import (
     _loss_and_gradients,
     encode_batch,
     get_params,
+    logits_batch,
     loss_and_gradient,
     set_params,
     softmax,
@@ -130,6 +131,28 @@ def test_sel_has_three_times_the_parameters(iris):
     )
 
 
+def test_set_params_fills_trainable_slots_in_order():
+    c = Circuit(
+        2,
+        (
+            Op(GateKind.R3, (0,), (0.1, 0.2, 0.3), True),
+            Op(GateKind.RX, (1,), (0.4,), False),
+            Op(GateKind.CNOT, (0, 1)),
+            Op(GateKind.RY, (1,), (0.5,), True),
+        ),
+    )
+    values = np.array([1.0, -1.0, 2.0, 3.0])
+    out = set_params(c, values)
+    assert np.array_equal(get_params(out), values)
+    assert out.ops[1:3] == c.ops[1:3]
+    assert [op.trainable for op in out.ops] == [op.trainable for op in c.ops]
+    for bad in (values[:3], np.append(values, 0.0)):
+        with pytest.raises(ValueError, match=f"expected 4 values, got {len(bad)}"):
+            set_params(c, bad)
+    with pytest.raises(ValueError, match="outside"):
+        set_params(c, np.array([1.0, 13.0, 2.0, 3.0]))
+
+
 def test_digits_scale_model_counts(iris):
     m = qnn.build_ansatz(qnn.LayerSpec(BEL, 5, 10), seed=0)
     kinds = [op.kind for op in m.ops]
@@ -182,7 +205,8 @@ def test_forward_identity_ansatz_symmetric(iris):
         dataset_name="iris",
         seed=0,
     )
-    logits, probs = qnn.forward(m, np.zeros(4))
+    logits = logits_batch(m, np.zeros((1, 4)))[0]
+    probs = softmax(logits)
     assert np.allclose(logits, [1.0, 1.0])
     assert np.allclose(probs, [0.5, 0.5])
 
@@ -192,7 +216,8 @@ def test_forward_outputs_well_formed(iris):
     m = qnn.build_model(qnn.LayerSpec(BEL, 2, 4), iris, seed=2)
     for _ in range(10):
         x = rng.uniform(0, math.pi, 4)
-        logits, probs = qnn.forward(m, x)
+        logits = logits_batch(m, x[None, :])[0]
+        probs = softmax(logits)
         assert np.all(logits >= -1 - 1e-12) and np.all(logits <= 1 + 1e-12)
         assert abs(probs.sum() - 1.0) <= 1e-12
         assert np.all(probs >= 0)

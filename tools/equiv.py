@@ -8,6 +8,9 @@ importing ``pqc_forge`` from that checkout's ``src/`` with BLAS pinned to
 one thread:
 
 * ``sim.run_batch`` on random circuits with cnot runs;
+* ``circuit.metrics`` of 200 random circuits over every gate kind (ids,
+  y, r gates, frozen rotations and cnots) and of the BEL and SEL ansatzes
+  on 2-10 qubits;
 * per model (BEL and SEL on 2-10 qubits, seed 0, Iris seed 0): the
   encoded states, the test-split logits, and loss, angle gradient and
   readout gradient of a 16-row batch;
@@ -102,10 +105,31 @@ def _random_circuits(rng):
         yield Circuit(n, tuple(ops))
 
 
+def _every_kind_circuits(rng, count=200):
+    """Circuits on 1-8 qubits over every gate kind, some rotations frozen."""
+    from pqc_forge.circuit import Circuit, Op
+    from pqc_forge.gates import N_ANGLES, ROTATION_KINDS, GateKind
+
+    for _ in range(count):
+        n = int(rng.integers(1, 9))
+        kinds = [k for k in GateKind if n > 1 or k is not GateKind.CNOT]
+        ops = []
+        for _ in range(int(rng.integers(0, 60))):
+            kind = kinds[rng.integers(len(kinds))]
+            if kind is GateKind.CNOT:
+                c, t = rng.choice(n, size=2, replace=False)
+                ops.append(Op(kind, (int(c), int(t))))
+                continue
+            angles = tuple(rng.uniform(-3, 3, N_ANGLES[kind]).tolist())
+            trainable = kind in ROTATION_KINDS and rng.random() < 0.7
+            ops.append(Op(kind, (int(rng.integers(n)),), angles, trainable))
+        yield Circuit(n, tuple(ops))
+
+
 def items():
     """(name, value) of every compared item, in a fixed order."""
     from pqc_forge import optimizer, qnn, sim
-    from pqc_forge.circuit import serialize
+    from pqc_forge.circuit import metrics, serialize
     from pqc_forge.greedy import GreedyParams
     from pqc_forge.optimizer import OptimizeConfig, OptimizeMode
     from pqc_forge.qnn import training
@@ -115,6 +139,12 @@ def items():
         dim = 1 << c.n_qubits
         states = rng.normal(size=(3, dim)) + 1j * rng.normal(size=(3, dim))
         yield f"run_batch circuit {i}", sim.run_batch(c, states)
+
+    yield "metrics of random circuits", [metrics(c).as_dict() for c in _every_kind_circuits(rng)]
+    yield "metrics of ansatzes", [
+        metrics(qnn.build_ansatz(qnn.LayerSpec(kind, layers, n), seed=0)).as_dict()
+        for kind in qnn.LayerKind for layers in (1, 5, 8) for n in range(2, 11)
+    ]
 
     data = qnn.load_dataset("iris", seed=0)
     x, y = data.train_x[:BATCH], data.train_y[:BATCH]

@@ -9,19 +9,23 @@ change's ``BENCHMARK.json``, each pair runs ``bench/run.py --workload W
 directory. Even pairs run the parent first and odd pairs the change, so
 neither side always gets the second slot on a shared machine. The file
 holds every result line, the per-metric medians and quartiles, the pairs
-each side won, the machine record and each side's ``src/`` line count.
-It is rewritten after every pair. Stdlib only.
+each side won, the machine record and each side's ``src/`` line count,
+both of all lines and of code lines only (no blank, comment or docstring
+lines). It is rewritten after every pair. Stdlib only.
 """
 
 from __future__ import annotations
 
 import argparse
+import ast
+import io
 import json
 import os
 import platform
 import statistics
 import subprocess
 import sys
+import tokenize
 from pathlib import Path
 
 SIDES = ("parent", "change")
@@ -81,10 +85,39 @@ def summarize(runs: list[dict], better: dict[str, str]) -> dict:
     return summary
 
 
+def _sources(checkout: Path) -> list[str]:
+    return [p.read_text(encoding="utf-8") for p in sorted((checkout / "src").rglob("*.py"))]
+
+
 def src_lines(checkout: Path) -> int:
     """All lines of ``src/**/*.py``."""
-    return sum(len(p.read_text(encoding="utf-8").splitlines())
-               for p in sorted((checkout / "src").rglob("*.py")))
+    return sum(len(text.splitlines()) for text in _sources(checkout))
+
+
+_NOT_CODE = {tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT,
+             tokenize.DEDENT, tokenize.ENCODING, tokenize.ENDMARKER}
+
+
+def code_lines(text: str) -> int:
+    """Lines of Python source that hold code: not blank, comment or docstring."""
+    docstrings = set()
+    for node in ast.walk(ast.parse(text)):
+        body = getattr(node, "body", None)
+        if (isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef))
+                and body and isinstance(body[0], ast.Expr)
+                and isinstance(body[0].value, ast.Constant)
+                and isinstance(body[0].value.value, str)):
+            docstrings.update(range(body[0].lineno, body[0].end_lineno + 1))
+    code = set()
+    for tok in tokenize.generate_tokens(io.StringIO(text).readline):
+        if tok.type not in _NOT_CODE:
+            code.update(range(tok.start[0], tok.end[0] + 1))
+    return len(code - docstrings)
+
+
+def src_code_lines(checkout: Path) -> int:
+    """Code lines of ``src/**/*.py`` (see ``code_lines``)."""
+    return sum(code_lines(text) for text in _sources(checkout))
 
 
 def machine() -> dict:
@@ -107,6 +140,7 @@ def main(argv=None) -> int:
     better = {m["name"]: m["better"] for m in spec["end_to_end"]}
     checkouts = {"parent": args.parent, "change": args.change}
     lines = {s: src_lines(checkouts[s]) for s in SIDES}
+    code = {s: src_code_lines(checkouts[s]) for s in SIDES}
     record = {
         "command": f"python3 bench/run.py --workload W --seed {args.seed} "
                    f"--seconds {args.seconds:g} --trace 0",
@@ -114,6 +148,7 @@ def main(argv=None) -> int:
                   "quartiles by the inclusive method; ties count for neither side",
         "machine": machine(),
         "src_lines": {**lines, "delta": lines["change"] - lines["parent"]},
+        "src_code_lines": {**code, "delta": code["change"] - code["parent"]},
         "runs": [],
     }
     for workload in (w["name"] for w in spec["workloads"]):
