@@ -11,6 +11,8 @@ defaults to $PQC_FORGE_SEED, then 0, never to entropy.
 Exit codes: 0 success; 1 an input or evaluation failure (an unreadable
 or malformed file, a model that does not fit its data), reported as one
 ``error:`` line; 2 a usage error (a bad flag value), reported by click.
+A command never writes over a file it reads or another file it writes:
+paths that resolve to one file are a usage error, before any work.
 """
 
 # Tiny 2xN gate kernels gain nothing from BLAS threads and lose badly to
@@ -63,13 +65,17 @@ def _write_json(path, payload: dict) -> None:
         fh.write("\n")
 
 
+def _manifest_path(csv_path) -> Path:
+    return Path(str(csv_path) + ".manifest.json")
+
+
 def _write_csv(path, rows: list[dict], manifest: dict) -> None:
     fields = list(rows[0].keys())
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.DictWriter(fh, fieldnames=fields)
         writer.writeheader()
         writer.writerows(rows)
-    _write_json(Path(str(path) + ".manifest.json"), manifest)
+    _write_json(_manifest_path(path), manifest)
 
 
 @contextmanager
@@ -79,6 +85,39 @@ def _usage_errors():
         yield
     except ValueError as exc:
         raise click.UsageError(str(exc)) from None
+
+
+def _distinct_files(reads: dict, writes: dict) -> None:
+    """Usage error unless every file written is none of the files read and
+    no other file written. Both map a role (``--out``) to a path or None;
+    paths are compared resolved."""
+    seen = {Path(p).resolve(): f"{role} {p}" for role, p in reads.items() if p is not None}
+    for role, p in writes.items():
+        if p is None:
+            continue
+        key = Path(p).resolve()
+        if key in seen:
+            raise click.UsageError(f"{role} {p} and {seen[key]} are the same file")
+        seen[key] = f"{role} {p}"
+
+
+def _existing_sidecar(path) -> Path | None:
+    """The sidecar of a circuit file, when it exists and is not the file itself."""
+    side = sidecar_path(path)
+    return side if side != Path(path) and side.exists() else None
+
+
+def _history_path(model_path) -> Path:
+    return Path(str(model_path)).with_suffix(".history.json")
+
+
+def _model_writes(out_path) -> dict:
+    """The files ``train`` and ``retrain`` write, by role."""
+    return {
+        "--out": out_path,
+        "--out's sidecar": sidecar_path(out_path),
+        "the history": _history_path(out_path),
+    }
 
 
 def _load(what: str, fn, *args):
@@ -178,6 +217,8 @@ def cmd_approx_gate(gate, angle, angle_grid, iters, top_k, metric, seed, restart
         start, stop, step = angle_grid
         if step <= 0:
             raise click.UsageError("--angle-grid STEP must be > 0")
+        if stop < start:
+            raise click.UsageError("--angle-grid STOP must be >= START")
         angles = list(np.arange(start, stop + step / 2, step))
     else:
         angles = [angle]
@@ -212,6 +253,9 @@ def cmd_approx_gate(gate, angle, angle_grid, iters, top_k, metric, seed, restart
 @click.option("--json", "json_path", type=click.Path(), default=None)
 def cmd_metrics(in_path, json_path):
     """Depth / gate-count / parameter metrics of a circuit file."""
+    _distinct_files(
+        {"--in": in_path, "its sidecar": _existing_sidecar(in_path)}, {"--json": json_path}
+    )
     m = circ.metrics(_load(f"circuit {in_path}", circ.load, in_path))
     click.echo(f"logical depth:         {m.logical_depth}")
     click.echo(f"logical gate count:    {m.logical_gate_count}")
@@ -237,10 +281,11 @@ def cmd_metrics(in_path, json_path):
 def cmd_optimize(in_path, tolerance, mode, iters, top_k, metric, seed, out_path, report_path):
     """Replace parametric gates whose approximation beats the tolerance."""
     out_path = out_path or str(Path(in_path).with_suffix(".opt.qc"))
+    report_path = report_path or str(Path(out_path).with_suffix(".report.json"))
     # a model circuit keeps its sidecar usable after optimization; a
     # circuit file named *.json is its own sidecar path and has none
-    side = sidecar_path(in_path)
-    has_sidecar = side != Path(in_path) and side.exists()
+    side = _existing_sidecar(in_path)
+    has_sidecar = side is not None
     with _usage_errors():
         cfg = OptimizeConfig(
             tolerance=tolerance,
@@ -249,8 +294,15 @@ def cmd_optimize(in_path, tolerance, mode, iters, top_k, metric, seed, out_path,
         )
         if has_sidecar:
             check_model_path(out_path)
+    _distinct_files(
+        {"--in": in_path, "its sidecar": side},
+        {
+            "--out": out_path,
+            "--out's sidecar": sidecar_path(out_path) if has_sidecar else None,
+            "--report": report_path,
+        },
+    )
     new_c, report = optimize(_load(f"circuit {in_path}", circ.load, in_path), cfg)
-    report_path = report_path or str(Path(out_path).with_suffix(".report.json"))
     circ.save(new_c, out_path)
     _write_json(report_path, {**report.as_dict(), "manifest": _manifest()})
     if has_sidecar:
@@ -290,6 +342,10 @@ def cmd_sweep(in_path, tolerances, mode, iters, top_k, metric, seed, dataset, da
         greedy = GreedyParams(iters, top_k, _METRICS[metric], seed)
         # every tolerance is checked here, before any pass runs
         cfgs = [OptimizeConfig(tolerance=t, greedy=greedy, mode=_MODES[mode]) for t in tols]
+    _distinct_files(
+        {"--in": in_path, "its sidecar": _existing_sidecar(in_path), "--data": data_path},
+        {"--out": out_path, "--out's manifest": _manifest_path(out_path) if out_path else None},
+    )
     c = _load(f"circuit {in_path}", circ.load, in_path)
     evaluate = None
     if dataset is not None:
@@ -332,18 +388,18 @@ def cmd_train(dataset, data_path, layer_kind, layers, qubits, epochs, lr, batch_
             epochs=epochs, learning_rate=lr, batch_size=batch_size, seed=seed
         )
         check_model_path(out_path)
+    _distinct_files({"--data": data_path}, _model_writes(out_path))
     ds = _load(f"dataset {dataset}", qnn.load_dataset, dataset, data_path, seed)
     with _usage_errors():
         model = qnn.build_model(spec, ds, seed=seed)
     model, history = qnn.train(model, ds, cfg)
     manifest = _manifest()
     qnn.save_model(model, out_path, extra={"manifest": manifest})
-    hist_path = Path(str(out_path)).with_suffix(".history.json")
+    hist_path = _history_path(out_path)
     _write_json(hist_path, {**history.as_dict(), "manifest": manifest})
-    final = history.epochs[-1] if history.epochs else {}
     click.echo(
         f"trained {layer_kind}({layers}, {qubits}q) on {dataset}: "
-        f"test accuracy {final.get('test_accuracy', float('nan')):.4f}"
+        f"test accuracy {history.epochs[-1]['test_accuracy']:.4f}"
     )
     click.echo(f"wrote {out_path}, {sidecar_path(out_path)}, {hist_path}")
 
@@ -358,24 +414,22 @@ def cmd_train(dataset, data_path, layer_kind, layers, qubits, epochs, lr, batch_
 @_seed_option
 @click.option("--out", "out_path", type=click.Path(), required=True)
 def cmd_retrain(model_path, dataset, data_path, epochs, lr, batch_size, seed, out_path):
-    """Re-train the surviving parameters of an optimized model."""
+    """Re-train the surviving angles and the readout of an optimized model."""
     with _usage_errors():
         cfg = qnn.TrainConfig(
             epochs=epochs, learning_rate=lr, batch_size=batch_size, seed=seed
         )
         check_model_path(out_path)
+    _distinct_files(
+        {"--model": model_path, "its sidecar": sidecar_path(model_path), "--data": data_path},
+        _model_writes(out_path),
+    )
     model, ds = _model_and_dataset(model_path, dataset, data_path)
     model, history = qnn.retrain(model, ds, cfg)
-    for warning in history.warnings:
-        click.echo(f"warning: {warning}", err=True)
     manifest = _manifest()
     qnn.save_model(model, out_path, extra={"manifest": manifest})
-    hist_path = Path(str(out_path)).with_suffix(".history.json")
-    _write_json(hist_path, {**history.as_dict(), "manifest": manifest})
-    if history.epochs:
-        click.echo(f"retrained: test accuracy {history.epochs[-1]['test_accuracy']:.4f}")
-    else:
-        click.echo("model unchanged (nothing to retrain)")
+    _write_json(_history_path(out_path), {**history.as_dict(), "manifest": manifest})
+    click.echo(f"retrained: test accuracy {history.epochs[-1]['test_accuracy']:.4f}")
     click.echo(f"wrote {out_path}")
 
 

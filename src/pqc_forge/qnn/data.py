@@ -125,7 +125,8 @@ def load_dataset(name: str, path=None, seed: int = 0, bounds=None) -> Dataset:
 
     ``bounds`` is an optional (lo, hi) pair of per-feature arrays, one
     entry per feature, to scale by; without it the train split's minima
-    and maxima are used.
+    and maxima are used. Raises ValueError when a class has fewer than 2
+    rows, which would leave its train or test split empty.
     """
     if name == "iris":
         if path is None:
@@ -153,6 +154,11 @@ def load_dataset(name: str, path=None, seed: int = 0, bounds=None) -> Dataset:
     else:
         raise ValueError(f"unknown dataset {name!r}; expected one of {DATASET_NAMES}")
 
+    for cls, count in zip(class_names, np.bincount(labels, minlength=len(class_names))):
+        if count < 2:
+            raise ValueError(
+                f"{path}: class {cls!r} has {count} row(s); a train/test split needs 2"
+            )
     train_idx, test_idx = _stratified_split(labels, seed)
     if bounds is None:
         lo, hi = feats[train_idx].min(axis=0), feats[train_idx].max(axis=0)

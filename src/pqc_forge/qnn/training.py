@@ -83,7 +83,7 @@ class TrainConfig:
 
 @dataclass
 class History:
-    """Per-epoch records of a training run, plus its warnings.
+    """Per-epoch records of a training run.
 
     Each epoch record holds ``epoch``, ``train_loss`` (the mean batch
     loss), ``test_accuracy``, ``grad_norm`` (the L2 norm of the epoch's
@@ -92,10 +92,9 @@ class History:
     """
 
     epochs: list[dict] = field(default_factory=list)
-    warnings: list[str] = field(default_factory=list)
 
     def as_dict(self) -> dict:
-        return {"epochs": self.epochs, "warnings": self.warnings}
+        return {"epochs": self.epochs}
 
 
 class Adam:
@@ -286,19 +285,12 @@ def train(model: Model, dataset: Dataset, cfg: TrainConfig) -> tuple[Model, Hist
     """Mini-batch Adam on the train split; returns a new model + history.
 
     The parameter vector is the trainable angles in slot order followed
-    by the readout scale and bias. A circuit with no trainable angle is
-    returned unchanged, readout included, with a warning record.
+    by the readout scale and bias. A circuit with no trainable angle left
+    trains its readout alone and comes back with its circuit unchanged.
     """
     history = History()
-    slots = trainable_slots(model.ansatz)
-    if not slots:
-        history.warnings.append(
-            "no trainable parameters left; returning the model unchanged"
-        )
-        return model, history
-
     rng = np.random.default_rng(cfg.seed)
-    n_angles = len(slots)
+    n_angles = len(trainable_slots(model.ansatz))
     n_classes = model.n_classes
     params = np.concatenate(
         [get_params(model.ansatz), model.readout_scale, model.readout_bias]
@@ -339,13 +331,7 @@ def train(model: Model, dataset: Dataset, cfg: TrainConfig) -> tuple[Model, Hist
     return current, history
 
 
-def retrain(model: Model, dataset: Dataset, cfg: TrainConfig) -> tuple[Model, History]:
-    """Same loop as ``train``; meant for the shorter post-optimization run.
-
-    A model whose rotations were all replaced has nothing to train; it is
-    returned unchanged with a warning record instead of an error.
-    """
-    return train(model, dataset, cfg)
+retrain = train  # the post-optimization run is the same loop, run for fewer epochs
 
 
 def evaluate(model: Model, dataset: Dataset) -> dict:

@@ -84,12 +84,17 @@ def test_approx_gate_usage_errors(runner):
             ["--angle-grid", "0", "1", "nan"],
             "Invalid value for '--angle-grid': must be finite, got (0.0, 1.0, nan)",
         ),
+        (["--angle-grid", "1", "0", "0.5"], "--angle-grid STOP must be >= START"),
     ]:
         result = runner.invoke(main, ["approx-gate", "--gate", "rx", *flags])
         assert result.exit_code == 2
         assert "Traceback" not in result.output
         errors = [line for line in result.output.splitlines() if line.startswith("Error:")]
         assert errors == [f"Error: {message}"]
+    # START == STOP is a grid of one angle
+    result = invoke(runner, "approx-gate", "--gate", "rx", "--angle-grid", "1", "1", "0.5")
+    assert result.exit_code == 0
+    assert "gate:        rx(1)" in result.output
 
 
 def test_env_seed_fallback(runner):
@@ -284,6 +289,57 @@ def test_optimize_rejects_a_json_out_path_only_for_a_model(runner, tmp_path):
     assert [op.kind for op in circ.load(out).ops] == [GateKind.CNOT]
 
 
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["optimize", "--in", "m.qc", "--tolerance", "0.05", "--out", "o.qc", "--report", "o.json"],
+        ["optimize", "--in", "m.qc", "--tolerance", "0.05", "--out", "p.qc", "--report", "p.qc"],
+        ["optimize", "--in", "m.qc", "--tolerance", "0.05", "--out", "q.qc", "--report", "m.json"],
+        ["sweep", "--in", "m.qc", "--tolerances", "0.1", "--out", "m.qc"],
+        ["sweep", "--in", "m.qc", "--tolerances", "0.1", "--out", "m.json"],
+        ["metrics", "--in", "m.qc", "--json", "m.qc"],
+        ["retrain", "--model", "m.qc", "--epochs", "1", "--out", "m.qc"],
+    ],
+    ids=[
+        "optimize-report-is-out-sidecar",
+        "optimize-report-is-out",
+        "optimize-report-is-in-sidecar",
+        "sweep-out-is-in",
+        "sweep-out-is-in-sidecar",
+        "metrics-json-is-in",
+        "retrain-in-place",
+    ],
+)
+def test_a_command_never_writes_over_its_own_files(runner, tmp_path, args):
+    spec = qnn.LayerSpec(qnn.LayerKind.BASIC_ENTANGLER, 1, 4)
+    qnn.save_model(qnn.build_model(spec, qnn.load_dataset("iris")), tmp_path / "m.qc")
+    before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+    files = {"m.qc", "m.json", "o.qc", "o.json", "p.qc", "q.qc"}
+    result = runner.invoke(main, [str(tmp_path / a) if a in files else a for a in args])
+    assert result.exit_code == 2
+    assert "Traceback" not in result.output
+    errors = [line for line in result.output.splitlines() if line.startswith("Error:")]
+    assert len(errors) == 1 and errors[0].endswith("are the same file")
+    assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+
+
+def test_train_on_a_class_with_one_row_exits_1(runner, tmp_path):
+    data = tmp_path / "tiny.csv"
+    with open(data, "w", newline="") as fh:
+        csv.writer(fh).writerows([[0.0] * 64 + [0], [1.0] * 64 + [1]])
+    out = tmp_path / "m.qc"
+    result = runner.invoke(main, [
+        "train", "--dataset", "digits01", "--data", str(data), "--qubits", "2",
+        "--layers", "1", "--epochs", "1", "--out", str(out),
+    ])
+    assert result.exit_code == 1
+    assert result.output.splitlines() == [
+        f"error: cannot load dataset digits01: {data}: class '0' has 1 row(s); "
+        "a train/test split needs 2"
+    ]
+    assert not out.exists()
+
+
 def test_sweep_with_dataset_adds_accuracy(runner, tmp_path):
     model_path = tmp_path / "model.qc"
     invoke(
@@ -405,7 +461,7 @@ def test_eval_scales_other_data_by_the_stored_bounds(runner, tmp_path):
     assert f"test accuracy:  {want:.4f}" in result.output.splitlines()
 
 
-def test_retrain_zero_parameters_warns(runner, tmp_path):
+def test_retrain_zero_angles_trains_the_readout(runner, tmp_path):
     model_path = tmp_path / "model.qc"
     invoke(
         runner, "train", "--dataset", "iris", "--layer-kind", "bel",
@@ -414,12 +470,18 @@ def test_retrain_zero_parameters_warns(runner, tmp_path):
     model = qnn.load_model(model_path)
     frozen = Circuit(4, tuple(Op(op.kind, op.qubits, op.angles, False) for op in model.ansatz.ops))
     qnn.save_model(model.with_ansatz(frozen), model_path)
-    result = invoke(
-        runner, "retrain", "--model", str(model_path), "--epochs", "2",
-        "--out", str(tmp_path / "re.qc"),
-    )
+    out = tmp_path / "re.qc"
+    result = invoke(runner, "retrain", "--model", str(model_path), "--epochs", "2", "--out", str(out))
     assert result.exit_code == 0
-    assert "warning" in result.output or "unchanged" in result.output
+    assert "retrained: test accuracy " in result.output
+    assert "warning" not in result.output
+    retrained = qnn.load_model(out)
+    assert retrained.ansatz == frozen
+    assert not np.array_equal(retrained.readout_bias, model.readout_bias)
+    history = json.loads((tmp_path / "re.history.json").read_text())
+    assert [e["epoch"] for e in history["epochs"]] == [1, 2]
+    assert all(e["grad_norm"] > 0 for e in history["epochs"])
+    assert "warnings" not in history
 
 
 @pytest.mark.parametrize(

@@ -99,6 +99,19 @@ def test_digits_pooling_matches_manual():
     assert np.allclose(pooled, manual)
 
 
+def test_a_class_with_one_row_is_an_error(tmp_path):
+    path = tmp_path / "tiny.csv"
+    with open(path, "w", newline="") as fh:
+        csv.writer(fh).writerows([[0.0] * 64 + [0], [1.0] * 64 + [1], [2.0] * 64 + [1]])
+    with pytest.raises(ValueError, match="class '0' has 1 row"):
+        qnn.load_dataset("digits01", path=path)
+    # two rows per class split into one train and one test row each
+    with open(path, "a", newline="") as fh:
+        csv.writer(fh).writerow([3.0] * 64 + [0])
+    ds = qnn.load_dataset("digits01", path=path)
+    assert len(ds.train_idx) == len(ds.test_idx) == 2
+
+
 def test_dataset_errors(tmp_path):
     with pytest.raises(ValueError, match="path"):
         qnn.load_dataset("digits01")
@@ -487,13 +500,19 @@ def test_training_updates_readout(iris):
     assert not np.array_equal(m.readout_bias, np.zeros(3))
 
 
-def test_retrain_with_no_parameters_warns_and_returns_unchanged(iris):
+def test_retrain_with_no_angles_trains_the_readout_alone(iris):
+    assert qnn.retrain is qnn.train
     frozen = Circuit(4, (Op(GateKind.X, (0,)), Op(GateKind.CNOT, (0, 1))))
     m = qnn.build_model(qnn.LayerSpec(BEL, 1, 4), iris, seed=0).with_ansatz(frozen)
-    m2, hist = qnn.retrain(m, iris, qnn.TrainConfig(epochs=2, seed=0))
+    cfg = qnn.TrainConfig(epochs=5, seed=0)
+    m2, hist = qnn.retrain(m, iris, cfg)
     assert m2.ansatz == frozen
-    assert hist.epochs == []
-    assert any("unchanged" in w for w in hist.warnings)
+    assert not np.array_equal(m2.readout_scale, m.readout_scale)
+    assert not np.array_equal(m2.readout_bias, m.readout_bias)
+    assert [e["epoch"] for e in hist.epochs] == list(range(1, cfg.epochs + 1))
+    assert all(e["grad_norm"] > 0 for e in hist.epochs)
+    assert hist.epochs[-1]["train_loss"] < hist.epochs[0]["train_loss"]
+    assert "warnings" not in hist.as_dict()
 
 
 def test_angle_wrapping_keeps_values_in_ir_bounds():

@@ -81,7 +81,6 @@ def _trained(model, history) -> dict:
         "scale": model.readout_scale,
         "bias": model.readout_bias,
         "history": _history(history),
-        "warnings": history.warnings,
     }
 
 
