@@ -9,8 +9,9 @@ any artifact can be traced back to the exact invocation. ``--seed``
 defaults to $PQC_FORGE_SEED, then 0, never to entropy.
 
 Exit codes: 0 success; 1 an input or evaluation failure (an unreadable
-or malformed file, a model that does not fit its data), reported as one
-``error:`` line; 2 a usage error (a bad flag value), reported by click.
+or malformed file, a model that does not fit its data) or running out of
+memory, reported as one ``error:`` line; 2 a usage error (a bad flag
+value, a negative seed among them), reported by click.
 A command never writes over a file it reads or another file it writes:
 paths that resolve to one file are a usage error, before any work.
 """
@@ -152,13 +153,14 @@ def _finite(ctx, param, value):
 
 
 class _Main(click.Group):
-    """An input failure escaping any command is one ``error:`` line and exit 1."""
+    """An input failure or running out of memory, escaping any command, is
+    one ``error:`` line and exit 1."""
 
     def invoke(self, ctx):
         try:
             return super().invoke(ctx)
-        except (OSError, ValueError) as exc:
-            click.echo(f"error: {exc}", err=True)
+        except (OSError, ValueError, MemoryError) as exc:
+            click.echo(f"error: {str(exc) or 'out of memory'}", err=True)
             ctx.exit(1)
 
 
@@ -219,7 +221,10 @@ def cmd_approx_gate(gate, angle, angle_grid, iters, top_k, metric, seed, restart
             raise click.UsageError("--angle-grid STEP must be > 0")
         if stop < start:
             raise click.UsageError("--angle-grid STOP must be >= START")
-        angles = list(np.arange(start, stop + step / 2, step))
+        # np.arange's angles, cut at STOP: a range that is not a whole
+        # number of steps would otherwise overshoot it by up to half a step
+        count = int((stop - start) / step + 1e-9) + 1
+        angles = list(np.arange(start, stop + step / 2, step)[:count])
     else:
         angles = [angle]
 

@@ -67,6 +67,8 @@ class GreedyParams:
             raise ValueError(f"top_k must be in 1..{len(ALPHABET)}, got {self.top_k}")
         if self.restarts < 1:
             raise ValueError(f"restarts must be >= 1, got {self.restarts}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass(frozen=True)

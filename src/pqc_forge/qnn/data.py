@@ -97,6 +97,8 @@ def _parse_rows(rows, n_features: int, path) -> tuple[np.ndarray, list[str]]:
             feats[i] = [float(v) for v in row[:n_features]]
         except ValueError as exc:
             raise ValueError(f"{path}: row {i + 1}: {exc}") from None
+        if not np.isfinite(feats[i]).all():
+            raise ValueError(f"{path}: row {i + 1} has a non-finite value")
         labels.append(row[n_features].strip())
     return feats, labels
 

@@ -79,6 +79,8 @@ class TrainConfig:
             raise ValueError(f"learning rate must be finite and > 0, got {self.learning_rate}")
         if self.batch_size < 1:
             raise ValueError(f"batch size must be >= 1, got {self.batch_size}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass

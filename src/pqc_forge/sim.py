@@ -6,15 +6,19 @@ q0·2^{n-1} + ... + q_{n-1}. Gates act
 on amplitude pairs along one axis of the state viewed as a rank-n
 tensor, O(2**n) work per gate; no 2**n × 2**n matrix is ever formed.
 
-Internally every kernel works on a flat (rows, 2**n) array reshaped to
-(rows, 2**q, 2, 2**(n-1-q)) views, which keeps the hot slice arithmetic
-contiguous; training loops hammer these kernels, so per-call overhead
-matters more than elegance here. A cnot only moves amplitudes, so each
-maximal run of consecutive cnots is applied as one gather through the
-composed index permutation, cached per run and qubit count. Pauli
-generator products (``apply_pauli_batch``) are signed permutations too:
-a swap of each amplitude pair, a sign or a ±i phase, with the values the
-2×2 kernel would give for the Pauli matrix.
+Every kernel works on a flat (rows, 2**n) stack. A 2×2 gate goes through
+one kernel, ``apply_1q_batch``, with two layouts chosen by the distance
+between the amplitudes of a pair: a product against u ⊗ I up to
+distance 16 (small GEMMs with K=2 are pathological in BLAS), and a
+broadcast (2, 2) @ (·, 2, distance) product beyond it. The elementwise
+kernels (Pauli products, per-row RX, ⟨Z⟩) read the pairs through one
+view, ``_pairs``. Training loops hammer these kernels, so per-call
+overhead matters more than elegance here. A cnot only moves amplitudes,
+so each maximal run of consecutive cnots is applied as one gather
+through the composed index permutation, cached per run and qubit count.
+Pauli generator products (``apply_pauli_batch``) are signed permutations
+too: a swap of each amplitude pair, a sign or a ±i phase, with the
+values the 2×2 kernel would give for the Pauli matrix.
 
 All functions are pure: inputs are never mutated. The batched variants
 take an array of shape (batch, 2**n); ``run`` is ``run_batch`` on one
@@ -33,36 +37,15 @@ from .circuit import Circuit, Op
 from .gates import GateKind
 
 NORM_ATOL = 1e-10
-_EYE = np.eye(8)  # I for the u ⊗ I products of _apply_1q_flat
+_EYE = np.eye(16)  # I for the u ⊗ I products of apply_1q_batch
 
 
-def zero_state(n_qubits: int) -> np.ndarray:
-    """|0...0⟩ on ``n_qubits`` wires."""
-    state = np.zeros(1 << n_qubits, dtype=complex)
-    state[0] = 1.0
-    return state
-
-
-def _apply_1q_flat(psi: np.ndarray, u: np.ndarray, q: int, n: int) -> np.ndarray:
-    """psi: (rows, 2**n) → new array with ``u`` applied on qubit q.
-
-    Amplitude pairs sit 2**(n-1-q) apart. Three BLAS-friendly layouts
-    cover the range: a flat (·, 2) @ uᵀ product when the pairs are
-    adjacent, a (·, 2·post) product against u ⊗ I when they are close
-    (small GEMMs with K=2 are pathological in BLAS), and a broadcast
-    (2, 2) @ (·, 2, post) product when they are far apart. u ⊗ I is
-    built by broadcasting u against a stored identity, the same
-    products ``np.kron`` forms without its per-call set-up.
-    """
-    rows = psi.shape[0]
-    post = 1 << (n - 1 - q)
-    if post == 1:
-        return (psi.reshape(-1, 2) @ u.T).reshape(rows, -1)
-    if post <= 8:
-        eye = _EYE[:post, :post]
-        w = (u[:, None, :, None] * eye[None, :, None, :]).reshape(2 * post, 2 * post).T
-        return (psi.reshape(-1, 2 * post) @ w).reshape(rows, -1)
-    return np.matmul(u, psi.reshape(-1, 2, post)).reshape(rows, -1)
+def _pairs(states: np.ndarray, qubit: int) -> np.ndarray:
+    """A (rows, 2**n) stack viewed as (rows, 2**q, 2, 2**(n-1-q)): axis 2
+    is the bit of ``qubit``, so [:, :, 0, :] and [:, :, 1, :] are the halves
+    of every amplitude pair."""
+    rows, dim = states.shape
+    return states.reshape(rows, 1 << qubit, 2, dim >> (qubit + 1))
 
 
 @functools.lru_cache(maxsize=256)
@@ -77,13 +60,20 @@ def _run_perm(pairs: tuple[tuple[int, int], ...], n: int) -> np.ndarray:
 
 
 def apply_1q_batch(states: np.ndarray, u: np.ndarray, qubit: int) -> np.ndarray:
-    """A prebuilt 2×2 matrix applied on one qubit of a (batch, 2**n) stack.
+    """A 2×2 matrix ``u`` applied on one qubit of a (batch, 2**n) stack.
 
-    Fast path for callers that apply the same ops many times (the
-    training gradient); skips Op dispatch and matrix construction.
+    Amplitude pairs sit ``post`` = 2**(n-1-q) apart. Up to 16 apart, the
+    stack is a (·, 2·post) product against u ⊗ I, built by broadcasting u
+    against a stored identity (the products ``np.kron`` forms, without
+    its per-call set-up); farther apart, a broadcast (2, 2) @ (·, 2, post)
+    product.
     """
-    n = states.shape[1].bit_length() - 1
-    return _apply_1q_flat(states, u, qubit, n)
+    post = states.shape[1] >> (qubit + 1)
+    if post <= 16:
+        eye = _EYE[:post, :post]
+        w = (u[:, None, :, None] * eye[None, :, None, :]).reshape(2 * post, 2 * post).T
+        return (states.reshape(-1, 2 * post) @ w).reshape(states.shape)
+    return np.matmul(u, states.reshape(-1, 2, post)).reshape(states.shape)
 
 
 def apply_cnot_batch(states: np.ndarray, control: int, target: int) -> np.ndarray:
@@ -112,16 +102,14 @@ def apply_pauli_batch(states: np.ndarray, pauli: GateKind, qubit: int) -> np.nda
     ``apply_1q_batch`` with the Pauli matrix exactly, up to the sign of
     a zero.
     """
-    rows = states.shape[0]
-    n = states.shape[1].bit_length() - 1
-    v = states.reshape(rows, 1 << qubit, 2, 1 << (n - 1 - qubit))
+    v = _pairs(states, qubit)
     if pauli is GateKind.Z:
-        return (v * _Z_SIGNS).reshape(rows, -1)
+        return (v * _Z_SIGNS).reshape(states.shape)
     swapped = v[:, :, ::-1, :]
     if pauli is GateKind.X:
-        return np.ascontiguousarray(swapped).reshape(rows, -1)
+        return np.ascontiguousarray(swapped).reshape(states.shape)
     if pauli is GateKind.Y:
-        return (swapped * _Y_PHASES).reshape(rows, -1)
+        return (swapped * _Y_PHASES).reshape(states.shape)
     raise ValueError(f"{pauli.value} is not a Pauli gate")
 
 
@@ -131,27 +119,22 @@ def apply_rx_batch(states: np.ndarray, qubit: int, thetas: np.ndarray) -> np.nda
     ``encode_batch`` no longer calls it; it stays as the reference that
     encoding is tested against and a kernel the benchmark traces by name.
     """
-    rows = states.shape[0]
-    n = states.shape[1].bit_length() - 1
     c = np.cos(thetas / 2)[:, None, None]
     s = (-1j * np.sin(thetas / 2))[:, None, None]
-    v = states.reshape(rows, 1 << qubit, 2, 1 << (n - 1 - qubit))
-    a0 = v[:, :, 0, :]
-    a1 = v[:, :, 1, :]
-    out = np.empty_like(v)
-    out[:, :, 0, :] = c * a0 + s * a1
-    out[:, :, 1, :] = s * a0 + c * a1
-    return out.reshape(rows, -1)
+    v = _pairs(states, qubit)
+    a0, a1 = v[:, :, 0, :], v[:, :, 1, :]
+    return np.stack([c * a0 + s * a1, s * a0 + c * a1], axis=2).reshape(states.shape)
 
 
 def run(c: Circuit, initial: np.ndarray | None = None) -> np.ndarray:
-    """Apply every op of ``c`` in order; returns the final state.
+    """Apply every op of ``c`` in order, by default to |0...0⟩; returns the
+    final state.
 
     Raises ValueError when the state's norm drifts (a NaN included).
     """
     dim = 1 << c.n_qubits
     if initial is None:
-        initial = zero_state(c.n_qubits)
+        initial = np.eye(1, dim, dtype=complex)[0]  # |0...0⟩
     if initial.shape != (dim,):
         raise ValueError(
             f"state has {initial.shape[0]} amplitudes, circuit wants {dim}"
@@ -174,7 +157,7 @@ def run_batch(c: Circuit, states: np.ndarray) -> np.ndarray:
             psi = apply_cnots_batch(psi, [op.qubits for op in group])
             continue
         for op in group:
-            psi = _apply_1q_flat(psi, gates.unitary(op.kind, op.angles), op.qubits[0], c.n_qubits)
+            psi = apply_1q_batch(psi, gates.unitary(op.kind, op.angles), op.qubits[0])
     return psi
 
 
@@ -183,17 +166,10 @@ def is_cnot_op(op: Op) -> bool:
     return op.kind is GateKind.CNOT
 
 
-def expect_z(state: np.ndarray, qubit: int) -> float:
-    """⟨Z_q⟩ = P(bit q = 0) - P(bit q = 1), in [-1, 1]."""
-    return float(expect_z_batch(state[None, :], qubit)[0])
-
-
 def expect_z_batch(states: np.ndarray, qubit: int) -> np.ndarray:
-    """⟨Z_q⟩ per batch row, shape (batch,)."""
-    rows = states.shape[0]
+    """⟨Z_q⟩ = P(bit q = 0) - P(bit q = 1) per batch row, shape (batch,)."""
     n = states.shape[1].bit_length() - 1
     if not 0 <= qubit < n:
         raise ValueError(f"qubit index {qubit} out of range for {n} qubits")
-    v = states.reshape(rows, 1 << qubit, 2, 1 << (n - 1 - qubit))
-    p = np.abs(v) ** 2
+    p = np.abs(_pairs(states, qubit)) ** 2
     return p[:, :, 0, :].sum(axis=(1, 2)) - p[:, :, 1, :].sum(axis=(1, 2))

@@ -2,7 +2,8 @@
 
 ``embed`` and ``full_unitary`` build 2ⁿ×2ⁿ matrices gate by gate; the
 tests compare the statevector simulator and the optimizer's global
-distance against them. ``decompose_to_basis`` and ``decompose`` rewrite
+distance against them. ``zero_state``, ``expect_z`` and ``apply_op`` are
+the one-state forms of the simulator's batched kernels. ``decompose_to_basis`` and ``decompose`` rewrite
 gates over the hardware basis {cx, id, rz, sx, x}; the tests check each
 rewrite against the gate unitary and ``gates.BASIS_COST`` against its
 length.
@@ -127,6 +128,18 @@ def full_unitary(c: Circuit) -> np.ndarray:
     for op in c.ops:
         u = embed(op.kind, op.qubits, c.n_qubits, op.angles) @ u
     return u
+
+
+def zero_state(n_qubits: int) -> np.ndarray:
+    """|0...0⟩ on ``n_qubits`` wires."""
+    state = np.zeros(1 << n_qubits, dtype=complex)
+    state[0] = 1.0
+    return state
+
+
+def expect_z(state: np.ndarray, qubit: int) -> float:
+    """⟨Z_q⟩ of one state vector, in [-1, 1]."""
+    return float(sim.expect_z_batch(state[None, :], qubit)[0])
 
 
 def apply_op(state: np.ndarray, op: Op, n_qubits: int) -> np.ndarray:

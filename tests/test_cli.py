@@ -529,3 +529,77 @@ def test_invalid_config_values_exit_2(runner, tmp_path, command, flags, message)
     errors = [line for line in result.output.splitlines() if line.startswith("Error:")]
     assert errors == [f"Error: {message}"]
     assert not (tmp_path / "out.qc").exists()
+
+
+@pytest.mark.parametrize(
+    "args, env",
+    [
+        (["approx-gate", "--gate", "rx", "--angle", "1", "--seed", "-1"], None),
+        (["optimize", "--in", "m.qc", "--tolerance", "0.05", "--out", "o.qc", "--seed", "-1"], None),
+        (["train", "--dataset", "iris", "--qubits", "4", "--out", "o.qc", "--seed", "-1"], None),
+        (["train", "--dataset", "iris", "--qubits", "4", "--out", "o.qc"], {"PQC_FORGE_SEED": "-1"}),
+    ],
+    ids=["approx-gate", "optimize", "train", "env"],
+)
+def test_a_negative_seed_is_a_usage_error(runner, tmp_path, args, env):
+    spec = qnn.LayerSpec(qnn.LayerKind.BASIC_ENTANGLER, 1, 4)
+    qnn.save_model(qnn.build_model(spec, qnn.load_dataset("iris")), tmp_path / "m.qc")
+    before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+    result = runner.invoke(
+        main, [str(tmp_path / a) if a in {"m.qc", "o.qc"} else a for a in args], env=env
+    )
+    assert result.exit_code == 2
+    assert "Traceback" not in result.output
+    errors = [line for line in result.output.splitlines() if line.startswith("Error:")]
+    assert errors == ["Error: seed must be >= 0, got -1"]
+    assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+
+
+def test_angle_grid_never_passes_stop(runner):
+    def grid(*flags):
+        result = invoke(runner, "approx-gate", "--gate", "rx", "--iters", "1", "--angle-grid", *flags)
+        assert result.exit_code == 0
+        return [float(r["angle"]) for r in csv.DictReader(io.StringIO(result.output))]
+
+    # 0.6 + 0.6 = 1.2 lies past STOP = 1
+    assert grid("0", "1", "0.6") == [0.0, 0.6]
+    # a whole number of steps keeps np.arange's angles bit for bit, STOP included
+    assert grid("0.1", "1", "0.3") == list(np.arange(0.1, 1.15, 0.3))
+
+
+def test_running_out_of_memory_is_one_error_line(runner, tmp_path, monkeypatch):
+    def out_of_memory(*args):
+        raise MemoryError("Unable to allocate 2.00 GiB for an array")
+
+    monkeypatch.setattr(qnn, "train", out_of_memory)
+    out = tmp_path / "m.qc"
+    result = runner.invoke(main, [
+        "train", "--dataset", "iris", "--qubits", "4", "--layers", "1", "--epochs", "1",
+        "--out", str(out),
+    ])
+    assert result.exit_code == 1
+    assert result.output.splitlines() == ["error: Unable to allocate 2.00 GiB for an array"]
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_a_non_finite_dataset_value_exits_1(runner, tmp_path):
+    with (resources.files("pqc_forge") / "data" / "iris.csv").open() as fh:
+        rows = list(csv.reader(fh))
+    rows[3][1], rows[7][0] = "nan", "inf"
+    data = tmp_path / "bad.csv"
+    with data.open("w", newline="") as fh:
+        csv.writer(fh).writerows(rows)
+    message = f"error: cannot load dataset iris: {data}: row 3 has a non-finite value"
+    out = tmp_path / "m.qc"
+    result = runner.invoke(main, [
+        "train", "--dataset", "iris", "--data", str(data), "--qubits", "4", "--layers", "1",
+        "--epochs", "1", "--out", str(out),
+    ])
+    assert result.exit_code == 1
+    assert result.output.splitlines() == [message]
+    assert not out.exists()
+    spec = qnn.LayerSpec(qnn.LayerKind.BASIC_ENTANGLER, 1, 4)
+    qnn.save_model(qnn.build_model(spec, qnn.load_dataset("iris")), out)
+    result = runner.invoke(main, ["eval", "--model", str(out), "--data", str(data)])
+    assert result.exit_code == 1
+    assert result.output.splitlines() == [message]

@@ -189,6 +189,12 @@ def test_param_validation():
         transform_batch([rx(0.3), rx(0.4)], seed_keys=[1])
 
 
+def test_params_reject_a_negative_seed():
+    with pytest.raises(ValueError, match=r"^seed must be >= 0, got -1$"):
+        GreedyParams(seed=-1)
+    assert GreedyParams(seed=0).seed == 0
+
+
 def test_oracle_quarter_turn_grid_is_exact():
     for k in range(9):
         word, dist_k = exhaustive_oracle(rx(k * math.pi / 4), max_len=4)

@@ -4,6 +4,8 @@ import csv
 import hashlib
 import json
 import math
+import re
+from importlib import resources
 
 import numpy as np
 import pytest
@@ -123,6 +125,33 @@ def test_dataset_errors(tmp_path):
     bad.write_text("a,b,c,d,label\n1,2,3,nope,setosa\n")
     with pytest.raises(ValueError, match="row 1"):
         qnn.load_dataset("iris", path=bad)
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_a_non_finite_value_is_an_error(tmp_path, value):
+    with (resources.files("pqc_forge") / "data" / "iris.csv").open() as fh:
+        rows = list(csv.reader(fh))
+    rows[3][1] = value  # data row 3, under the header
+    bad = tmp_path / "bad.csv"
+    with bad.open("w", newline="") as fh:
+        csv.writer(fh).writerows(rows)
+    with pytest.raises(ValueError, match=rf"^{re.escape(str(bad))}: row 3 has a non-finite value$"):
+        qnn.load_dataset("iris", path=bad)
+    digits = tmp_path / "digits.csv"
+    write_digits_csv(digits)
+    lines = digits.read_text().splitlines()
+    cells = lines[5].split(",")
+    cells[17] = value
+    lines[5] = ",".join(cells)
+    digits.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError, match=rf"^{re.escape(str(digits))}: row 5 has a non-finite value$"):
+        qnn.load_dataset("digits01", path=digits)
+
+
+def test_train_config_rejects_a_negative_seed():
+    with pytest.raises(ValueError, match=r"^seed must be >= 0, got -1$"):
+        qnn.TrainConfig(seed=-1)
+    assert qnn.TrainConfig(seed=0).seed == 0
 
 
 def test_bel_model_structure(iris):

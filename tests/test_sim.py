@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from helpers import apply_op, embed, full_unitary, random_circuit
+from helpers import apply_op, embed, expect_z, full_unitary, random_circuit, zero_state
 from pqc_forge import sim
 from pqc_forge.circuit import Circuit, Op
 from pqc_forge.gates import GateKind
@@ -17,7 +17,7 @@ def random_state(rng, n):
 
 
 def test_empty_circuit_preserves_state():
-    assert np.allclose(sim.run(Circuit(3)), sim.zero_state(3))
+    assert np.allclose(sim.run(Circuit(3)), zero_state(3))
 
 
 def test_hadamard_on_zero():
@@ -35,11 +35,11 @@ def test_run_matches_full_unitary_oracle():
 
 def test_run_rejects_wrong_dimension():
     with pytest.raises(ValueError, match="amplitudes"):
-        sim.run(Circuit(2), sim.zero_state(3))
+        sim.run(Circuit(2), zero_state(3))
 
 
 def test_run_rejects_a_state_with_nan():
-    state = sim.zero_state(2)
+    state = zero_state(2)
     state[3] = np.nan
     with pytest.raises(ValueError, match="norm drifted"):
         sim.run(Circuit(2, (Op(GateKind.H, (0,)),)), state)
@@ -48,7 +48,7 @@ def test_run_rejects_a_state_with_nan():
 def test_norm_preserved_after_every_gate():
     rng = np.random.default_rng(43)
     c = random_circuit(4, 40, rng)
-    state = sim.zero_state(4)
+    state = zero_state(4)
     for op in c.ops:
         state = apply_op(state, op, 4)
         assert abs(np.linalg.norm(state) - 1.0) <= 1e-10
@@ -72,33 +72,33 @@ def test_trainable_flag_does_not_affect_simulation():
 
 
 def test_expect_z_basis_states():
-    assert sim.expect_z(np.array([1, 0], dtype=complex), 0) == 1.0
-    assert sim.expect_z(np.array([0, 1], dtype=complex), 0) == -1.0
+    assert expect_z(np.array([1, 0], dtype=complex), 0) == 1.0
+    assert expect_z(np.array([0, 1], dtype=complex), 0) == -1.0
 
 
 def test_expect_z_hadamard_is_zero():
     out = sim.run(Circuit(1, (Op(GateKind.H, (0,)),)))
-    assert abs(sim.expect_z(out, 0)) <= 1e-12
+    assert abs(expect_z(out, 0)) <= 1e-12
 
 
 def test_expect_z_rx_analytic():
     for theta in np.linspace(0, 2 * math.pi, 17):
         c = Circuit(1, (Op(GateKind.RX, (0,), (float(theta),), True),))
-        assert abs(sim.expect_z(sim.run(c), 0) - math.cos(theta)) <= 1e-12
+        assert abs(expect_z(sim.run(c), 0) - math.cos(theta)) <= 1e-12
 
 
 def test_expect_z_targets_named_qubit():
     # X on qubit 2 of three flips only that wire's expectation
     c = Circuit(3, (Op(GateKind.X, (2,)),))
     out = sim.run(c)
-    assert sim.expect_z(out, 0) == 1.0
-    assert sim.expect_z(out, 1) == 1.0
-    assert sim.expect_z(out, 2) == -1.0
+    assert expect_z(out, 0) == 1.0
+    assert expect_z(out, 1) == 1.0
+    assert expect_z(out, 2) == -1.0
 
 
 def test_expect_z_index_out_of_range():
     with pytest.raises(ValueError, match="out of range"):
-        sim.expect_z(sim.zero_state(2), 2)
+        expect_z(zero_state(2), 2)
 
 
 def test_batch_matches_loop():
@@ -110,7 +110,7 @@ def test_batch_matches_loop():
     assert np.max(np.abs(out_b - out_l)) <= 1e-12
     for q in range(4):
         zb = sim.expect_z_batch(out_b, q)
-        zl = [sim.expect_z(out_l[i], q) for i in range(7)]
+        zl = [expect_z(out_l[i], q) for i in range(7)]
         assert np.max(np.abs(zb - zl)) <= 1e-12
 
 
@@ -193,7 +193,7 @@ def test_pauli_products_equal_the_matrix_kernel(pauli):
 
 def test_pauli_products_reject_other_gates():
     with pytest.raises(ValueError, match="not a Pauli"):
-        sim.apply_pauli_batch(sim.zero_state(2)[None, :], GateKind.H, 0)
+        sim.apply_pauli_batch(zero_state(2)[None, :], GateKind.H, 0)
 
 
 def test_close_pairs_use_the_kron_product_exactly():
@@ -208,3 +208,23 @@ def test_close_pairs_use_the_kron_product_exactly():
             u = gates.rx(float(rng.uniform(-4, 4))) @ gates.unitary(GateKind.SX)
             want = (states.reshape(-1, 2 * post) @ np.kron(u, np.eye(post)).T).reshape(4, -1)
             assert np.array_equal(sim.apply_1q_batch(states, u, q), want)
+
+
+def test_one_kernel_keeps_every_layout_bit_for_bit():
+    # each pair distance against the layout that applied it before the
+    # kernels were merged: flat (·, 2) @ uᵀ at 1, u ⊗ I at 2-8, broadcast
+    # matmul from 16 up
+    rng = np.random.default_rng(52)
+    for n in range(1, 11):
+        rows = int(rng.integers(1, 17))
+        states = np.stack([random_state(rng, n) for _ in range(rows)])
+        for q in range(n):
+            u = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+            post = 1 << (n - 1 - q)
+            if post == 1:
+                want = states.reshape(-1, 2) @ u.T
+            elif post <= 8:
+                want = states.reshape(-1, 2 * post) @ np.kron(u, np.eye(post)).T
+            else:
+                want = np.matmul(u, states.reshape(-1, 2, post))
+            assert np.array_equal(sim.apply_1q_batch(states, u, q), want.reshape(rows, -1))
