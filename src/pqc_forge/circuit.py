@@ -6,7 +6,7 @@ Circuit files are UTF-8 text, one op per line::
     qubits 8
     x 0            # fixed single-qubit gates: x y z h s t id sx sdg sxdg tdg
     rx 1 0.5       # rotations carry angles in radians and are trainable
-    rx! 1 0.5      # '!' freezes a rotation (kept verbatim, never trained)
+    rx! 1 0.5      # '!' freezes a rotation: never trained, but optimize may replace it
     r 2 0.1 0.2 0.3
     cnot 0 1
 
@@ -25,7 +25,7 @@ verified rewrite, and the tests check these counts against it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 
 from .gates import BASIS_COST, GateKind, N_ANGLES, ROTATION_KINDS
 
@@ -96,13 +96,7 @@ class CircuitMetrics:
     remaining_parameters: int
 
     def as_dict(self) -> dict:
-        return {
-            "logical_depth": self.logical_depth,
-            "logical_gate_count": self.logical_gate_count,
-            "decomposed_depth": self.decomposed_depth,
-            "decomposed_gate_count": self.decomposed_gate_count,
-            "remaining_parameters": self.remaining_parameters,
-        }
+        return asdict(self)
 
 
 _MNEMONIC_TO_KIND = {kind.value: kind for kind in GateKind}

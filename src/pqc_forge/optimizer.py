@@ -6,13 +6,14 @@ greedy search; when the achieved distance beats the tolerance (strict
 gates dropped, replacements frozen). cnot and fixed gates always pass
 through unchanged.
 
-What comes back for a search that misses the tolerance depends on the
-op. An rx/ry/rz op is kept bit-for-bit. A three-angle r gate is split
-into its rz(φ)·ry(θ)·rz(ω) factors before the search, and each factor
-not replaced comes back as a rotation of its own: an r gate with no
-factor replaced still comes back as three ops, not as the original op.
-A fused run that is not replaced comes back as its ops, with every r
-gate among them split the same way. ROADMAP Open item 1 is the fix.
+Every rotation is planned as its factor ops, one single-angle op per
+factor with the source op's wire and trainable flag: an rx/ry/rz op is
+its own one factor, and a three-angle r gate is rz(φ), ry(θ), rz(ω). A
+run that is not replaced emits its factor ops. So an rx/ry/rz op comes
+back bit-for-bit, but an r gate with no factor replaced comes back as
+three ops, not as the original op. ROADMAP Open item 1 is the fix, and
+``bench/test_bench.py::test_r_gate_split_fault_is_reported`` pins the
+fault.
 
 Both modes group factors into runs and search each run once.
 ``PER_GATE`` mode gives every factor its own run. ``FUSED_RUNS`` mode
@@ -84,19 +85,6 @@ class LedgerEntry:
     distance: float
     replacement: tuple[str, ...]  # greedy sequence before id-dropping
 
-    def as_dict(self) -> dict:
-        return {
-            "position": self.position,
-            "gate": self.gate,
-            "qubit": self.qubit,
-            "angles": list(self.angles),
-            "factor": self.factor,
-            "span": self.span,
-            "replaced": self.replaced,
-            "distance": self.distance,
-            "replacement": list(self.replacement),
-        }
-
 
 @dataclass
 class OptimizeReport:
@@ -106,55 +94,39 @@ class OptimizeReport:
     mode: str
     before: CircuitMetrics
     after: CircuitMetrics
-    ledger: list[LedgerEntry]
     transform_calls: int
     global_distance: float | None
+    ledger: list[LedgerEntry]
 
     @property
     def replaced_count(self) -> int:
         return sum(1 for e in self.ledger if e.replaced)
 
     def as_dict(self) -> dict:
-        return {
-            "tolerance": self.tolerance,
-            "seed": self.seed,
-            "metric": self.metric,
-            "mode": self.mode,
-            "before": _metrics_triplet(self.before),
-            "after": _metrics_triplet(self.after),
-            "transform_calls": self.transform_calls,
-            "global_distance": self.global_distance,
-            "ledger": [e.as_dict() for e in self.ledger],
+        """The fields as JSON values; ``before``/``after`` keep depth, gates and params."""
+        return dataclasses.asdict(self) | {
+            side: {"depth": m.decomposed_depth, "gates": m.decomposed_gate_count,
+                   "params": m.remaining_parameters}
+            for side, m in (("before", self.before), ("after", self.after))
         }
-
-
-def _metrics_triplet(m: CircuitMetrics) -> dict:
-    return {
-        "depth": m.decomposed_depth,
-        "gates": m.decomposed_gate_count,
-        "params": m.remaining_parameters,
-    }
-
-
-def _splice(sequence, qubit: int) -> list[Op]:
-    """Replacement ops for a wire: greedy result minus id, all frozen."""
-    return [Op(kind, (qubit,)) for kind in sequence if kind is not GateKind.ID]
 
 
 @dataclass
 class _Run:
-    """Consecutive rotation factors on one wire, searched as one target."""
+    """Consecutive rotation factors on one wire, searched as one target.
+
+    ``ops`` holds one single-angle op per factor, in circuit order: the
+    target's factors, and what the pass emits when the run is not replaced.
+    """
 
     position: int
     factor: int | None
-    qubit: int
-    factors: list[tuple[GateKind, float]] = field(default_factory=list)  # circuit order
-    kept_ops: list[Op] = field(default_factory=list)  # what to emit when not replaced
+    ops: list[Op] = field(default_factory=list)
 
     def target(self) -> np.ndarray:
         u = np.eye(2, dtype=complex)
-        for kind, angle in self.factors:
-            u = gates.unitary(kind, (angle,)) @ u
+        for op in self.ops:
+            u = gates.unitary(op.kind, op.angles) @ u
         return u
 
 
@@ -190,14 +162,12 @@ def _plan(c: Circuit, mode: OptimizeMode) -> list:
             continue
         q = op.qubits[0]
         factors = gates.rotation_factors(op)
-        multi = len(factors) > 1
         for f_idx, (kind, angle) in enumerate(factors):
             run = None if per_gate else open_runs.get(q)
             if run is None:
-                run = open_runs[q] = _Run(pos, f_idx if multi else None, q)
+                run = open_runs[q] = _Run(pos, f_idx if len(factors) > 1 else None)
                 slots.append(run)
-            run.factors.append((kind, angle))
-            run.kept_ops.append(op if not multi else Op(kind, op.qubits, (angle,), op.trainable))
+            run.ops.append(Op(kind, op.qubits, (angle,), op.trainable))
     return slots
 
 
@@ -237,15 +207,19 @@ def optimize(
             continue
         res = next(results)
         replaced = res.final_dist < cfg.tolerance
-        out_ops.extend(_splice(res.sequence, slot.qubit) if replaced else slot.kept_ops)
+        wire = slot.ops[0].qubits
+        out_ops.extend(
+            [Op(kind, wire) for kind in res.sequence if kind is not GateKind.ID]
+            if replaced else slot.ops
+        )
         ledger.append(
             LedgerEntry(
                 position=slot.position,
-                gate=slot.factors[0][0].value if len(slot.factors) == 1 else "fused",
-                qubit=slot.qubit,
-                angles=tuple(a for _, a in slot.factors),
+                gate=slot.ops[0].kind.value if len(slot.ops) == 1 else "fused",
+                qubit=wire[0],
+                angles=tuple(op.angles[0] for op in slot.ops),
                 factor=slot.factor,
-                span=len(slot.factors),
+                span=len(slot.ops),
                 replaced=replaced,
                 distance=res.final_dist,
                 replacement=tuple(k.value for k in res.sequence),
@@ -266,9 +240,9 @@ def optimize(
         mode=cfg.mode.value,
         before=searched.before,
         after=metrics(new_circuit),
-        ledger=ledger,
         transform_calls=len(ledger),
         global_distance=global_dist,
+        ledger=ledger,
     )
     return new_circuit, report
 

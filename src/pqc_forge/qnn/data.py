@@ -69,7 +69,7 @@ class Dataset:
 
 def _read_csv(path) -> list[list[str]]:
     try:
-        with open(path, "r", newline="", encoding="utf-8") as fh:
+        with open(path, "r", newline="", encoding="utf-8-sig") as fh:
             rows = [row for row in csv.reader(fh) if row]
     except OSError as exc:
         raise FileNotFoundError(f"cannot read dataset file {path}: {exc}") from exc
@@ -144,9 +144,12 @@ def load_dataset(name: str, path=None, seed: int = 0, bounds=None) -> Dataset:
         rows = _read_csv(path)
         pixels, raw_labels = _parse_rows(rows, 64, path)
         try:
-            digit = np.array([int(float(l)) for l in raw_labels])
+            values = [float(l) for l in raw_labels]
+            if not all(v.is_integer() for v in values):  # also false for inf and nan
+                raise ValueError
         except ValueError:
             raise ValueError(f"{path}: digits labels must be integers") from None
+        digit = np.array([int(v) for v in values])
         keep = (digit == 0) | (digit == 1)
         if not keep.any():
             raise ValueError(f"{path}: no rows with digit 0 or 1")

@@ -200,6 +200,15 @@ def save_model(model: Model, path, extra: dict | None = None) -> None:
         fh.write("\n")
 
 
+def _integer(side, key: str, value) -> int:
+    """``value`` when it is a JSON integer; ValueError naming ``key`` otherwise."""
+    if type(value) is not int:  # a bool is an int to isinstance
+        raise ValueError(
+            f"{side} has a malformed entry: {key} must be an integer, got {json.dumps(value)}"
+        )
+    return value
+
+
 def load_model(path) -> Model:
     """Read a circuit file plus sidecar back into a Model.
 
@@ -220,8 +229,17 @@ def load_model(path) -> Model:
     if not isinstance(meta, dict) or meta.get("format") != SIDECAR_FORMAT:
         raise ValueError(f"{side} is not a {SIDECAR_FORMAT} sidecar")
     try:
-        n_qubits, n_classes = int(meta["n_qubits"]), int(meta["n_classes"])
-        feature_count = int(meta["feature_count"])
+        n_qubits, n_classes, feature_count, layers, seed, split_seed = (
+            _integer(side, key, value)
+            for key, value in (
+                ("n_qubits", meta["n_qubits"]),
+                ("n_classes", meta["n_classes"]),
+                ("feature_count", meta["feature_count"]),
+                ("layer.layers", meta["layer"]["layers"]),
+                ("seed", meta["seed"]),
+                ("split_seed", meta.get("split_seed", 0)),
+            )
+        )
         if n_qubits != ansatz.n_qubits:
             raise ValueError(f"{side} says {n_qubits} qubits, the circuit has {ansatz.n_qubits}")
         if n_classes > n_qubits:
@@ -236,12 +254,12 @@ def load_model(path) -> Model:
             n_classes=n_classes,
             feature_count=feature_count,
             layer_kind=meta["layer"]["kind"],
-            layers=int(meta["layer"]["layers"]),
+            layers=layers,
             lo=np.asarray(meta["normalization"]["lo"], dtype=float),
             hi=np.asarray(meta["normalization"]["hi"], dtype=float),
             dataset_name=meta["dataset"],
-            seed=int(meta["seed"]),
-            split_seed=int(meta.get("split_seed", 0)),
+            seed=seed,
+            split_seed=split_seed,
             # version-1 sidecars predate the affine readout: identity map
             readout_scale=meta.get("readout_scale"),
             readout_bias=meta.get("readout_bias"),

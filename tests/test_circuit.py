@@ -109,6 +109,14 @@ def test_metrics_single_cnot():
     assert m.remaining_parameters == 0
 
 
+def test_metrics_as_dict_keeps_the_field_order():
+    m = metrics(Circuit(2, (Op(GateKind.RX, (0,), (0.3,), True), Op(GateKind.CNOT, (0, 1)))))
+    assert list(m.as_dict().items()) == [
+        ("logical_depth", 2), ("logical_gate_count", 2), ("decomposed_depth", 6),
+        ("decomposed_gate_count", 6), ("remaining_parameters", 1),
+    ]
+
+
 def test_metrics_id_contributes_nothing_decomposed():
     c = Circuit(1, (Op(GateKind.ID, (0,)), Op(GateKind.ID, (0,))))
     m = metrics(c)

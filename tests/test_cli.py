@@ -340,6 +340,25 @@ def test_train_on_a_class_with_one_row_exits_1(runner, tmp_path):
     assert not out.exists()
 
 
+def test_train_with_an_infinite_digits_label_exits_1(runner, tmp_path):
+    data = tmp_path / "digits.csv"
+    with open(data, "w", newline="") as fh:
+        csv.writer(fh).writerows(
+            [[0.0] * 64 + [0], [0.5] * 64 + [0], [1.0] * 64 + [1], [2.0] * 64 + ["inf"]]
+        )
+    out = tmp_path / "m.qc"
+    result = runner.invoke(main, [
+        "train", "--dataset", "digits01", "--data", str(data), "--qubits", "2",
+        "--layers", "1", "--epochs", "1", "--out", str(out),
+    ])
+    assert result.exit_code == 1
+    assert "Traceback" not in result.output
+    assert result.output.splitlines() == [
+        f"error: cannot load dataset digits01: {data}: digits labels must be integers"
+    ]
+    assert [p.name for p in tmp_path.iterdir()] == ["digits.csv"]
+
+
 def test_sweep_with_dataset_adds_accuracy(runner, tmp_path):
     model_path = tmp_path / "model.qc"
     invoke(
@@ -404,11 +423,28 @@ def test_sweep_dataset_without_sidecar_fails(runner, tmp_path):
             lambda meta: meta.update(n_classes=0, readout_scale=[], readout_bias=[]),
             "needs at least one class and one feature, got 0 and 4",
         ),
+        (
+            lambda meta: meta.update(n_qubits=4.7),
+            "has a malformed entry: n_qubits must be an integer, got 4.7",
+        ),
+        (
+            lambda meta: meta.update(n_classes="3"),
+            'has a malformed entry: n_classes must be an integer, got "3"',
+        ),
+        (
+            lambda meta: meta.update(seed=2.9),
+            "has a malformed entry: seed must be an integer, got 2.9",
+        ),
+        (
+            lambda meta: meta.update(feature_count=True),
+            "has a malformed entry: feature_count must be an integer, got true",
+        ),
     ],
     ids=[
         "missing-key", "qubit-count", "class-count", "bounds-length", "bounds-non-finite",
         "bounds-reversed", "readout-nan", "readout-infinity", "wrong-type",
-        "no-features", "no-classes",
+        "no-features", "no-classes", "float-qubits", "string-classes", "float-seed",
+        "bool-features",
     ],
 )
 def test_eval_rejects_bad_sidecar(runner, tmp_path, edit, message):

@@ -184,12 +184,16 @@ def test_report_json_schema():
     c = Circuit(1, (Op(GateKind.RX, (0,), (0.4,), True),))
     _, rep = optimize(c, OptimizeConfig(tolerance=0.05))
     payload = rep.as_dict()
-    assert set(payload) == {
+    assert list(payload) == [
         "tolerance", "seed", "metric", "mode", "before", "after",
         "transform_calls", "global_distance", "ledger",
-    }
+    ]
     for side in ("before", "after"):
-        assert set(payload[side]) == {"depth", "gates", "params"}
+        assert list(payload[side]) == ["depth", "gates", "params"]
+    assert list(payload["ledger"][0]) == [
+        "position", "gate", "qubit", "angles", "factor", "span",
+        "replaced", "distance", "replacement",
+    ]
     json.dumps(payload)  # must be serializable as-is
 
 

@@ -127,6 +127,38 @@ def test_dataset_errors(tmp_path):
         qnn.load_dataset("iris", path=bad)
 
 
+def test_a_byte_order_mark_keeps_the_first_row(tmp_path):
+    with (resources.files("pqc_forge") / "data" / "iris.csv").open() as fh:
+        rows = list(csv.reader(fh))[1:]  # no header: the first cell is a number
+    path = tmp_path / "bom.csv"
+    with path.open("w", newline="", encoding="utf-8-sig") as fh:
+        csv.writer(fh).writerows(rows)
+    assert path.read_bytes().startswith(b"\xef\xbb\xbf5.1,")
+    ds, bundled = qnn.load_dataset("iris", path=path), qnn.load_dataset("iris")
+    assert ds.features.shape == (150, 4)
+    assert np.array_equal(ds.features, bundled.features)
+    assert np.array_equal(ds.labels, bundled.labels)
+
+
+@pytest.mark.parametrize("label", ["1.5", "inf", "nan"])
+def test_a_digits_label_that_is_not_an_integer_is_an_error(tmp_path, label):
+    path = tmp_path / "digits.csv"
+    write_digits_csv(path)
+    lines = path.read_text().splitlines()
+    lines[6] = lines[6].rsplit(",", 1)[0] + f",{label}"
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}: digits labels must be integers$"):
+        qnn.load_dataset("digits01", path=path)
+    # an integral float is still a label
+    lines[6] = lines[6].rsplit(",", 1)[0] + ",1.0"
+    path.write_text("\n".join(lines) + "\n")
+    write_digits_csv(tmp_path / "ints.csv")
+    assert np.array_equal(
+        qnn.load_dataset("digits01", path=path).labels,
+        qnn.load_dataset("digits01", path=tmp_path / "ints.csv").labels,
+    )
+
+
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
 def test_a_non_finite_value_is_an_error(tmp_path, value):
     with (resources.files("pqc_forge") / "data" / "iris.csv").open() as fh:

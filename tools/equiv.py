@@ -16,7 +16,10 @@ one thread:
   readout gradient of a 16-row batch;
 * per trained model (BEL(5,8) and SEL(5,8)): 3 training epochs,
   then both optimize modes at tolerance 0.05 (serialized circuit and
-  ``report.as_dict()``), then 2 retraining epochs of each result.
+  ``report.as_dict()``), then 2 retraining epochs of each result;
+* the ``json.dumps`` text of both ``metrics`` lists and of every optimize
+  report, as the CLI writes it: the value items above cannot see a key
+  order or a tuple that replaced a list.
 
 An item is reduced to a SHA-256 of its values: floats and arrays are
 hashed after adding 0.0, so -0.0 and 0.0 hash alike, and wall times are
@@ -139,11 +142,15 @@ def items():
         states = rng.normal(size=(3, dim)) + 1j * rng.normal(size=(3, dim))
         yield f"run_batch circuit {i}", sim.run_batch(c, states)
 
-    yield "metrics of random circuits", [metrics(c).as_dict() for c in _every_kind_circuits(rng)]
-    yield "metrics of ansatzes", [
+    random_metrics = [metrics(c).as_dict() for c in _every_kind_circuits(rng)]
+    yield "metrics of random circuits", random_metrics
+    yield "metrics of random circuits, JSON text", json.dumps(random_metrics)
+    ansatz_metrics = [
         metrics(qnn.build_ansatz(qnn.LayerSpec(kind, layers, n), seed=0)).as_dict()
         for kind in qnn.LayerKind for layers in (1, 5, 8) for n in range(2, 11)
     ]
+    yield "metrics of ansatzes", ansatz_metrics
+    yield "metrics of ansatzes, JSON text", json.dumps(ansatz_metrics)
 
     data = qnn.load_dataset("iris", seed=0)
     x, y = data.train_x[:BATCH], data.train_y[:BATCH]
@@ -171,6 +178,7 @@ def items():
             yield f"optimize {label} {mode.value}", {
                 "circuit": serialize(out), "report": report.as_dict()
             }
+            yield f"optimize {label} {mode.value} report, JSON text", json.dumps(report.as_dict())
             retrained, history = qnn.retrain(
                 trained.with_ansatz(out), data, qnn.TrainConfig(RETRAIN_EPOCHS, seed=0)
             )
