@@ -4,14 +4,18 @@ A search runs ``restarts`` independent greedy walks per target. The one
 kernel, ``transform_batch``, stacks the walks of many targets as rows,
 target by target, in blocks of at most ``BLOCK_ROWS`` rows that never
 split a target's restarts; ``param_gate_transform`` is its one-target
-case. One step multiplies every alphabet gate onto every row's accepted
-product and scores the (rows, 11, 2, 2) stack of candidates against each
-row's target in one ``matrix.distances`` call. A row's arithmetic does
-not depend on the rows beside it, so a target gets the same result in
-any stack, down to the last bit. In each row the previously appended gate
-keeps the 1000 sentinel, so it can never win; the scores are sorted
-ascending (ties by alphabet position), a draw picks uniformly from the
-best ``top_k``, and the pick is appended only when it strictly improves
+case. One step forms every row's 11 candidates as one (22, 2)·(2, 2)
+product, the alphabet's stacked rows times the row's accepted product,
+and scores the (rows, 11, 2, 2) stack against each row's target in one
+``matrix.distances`` call. That product gives the bits of one
+(2, 2)·(2, 2) product per candidate: the column-major BLAS sees the same
+M = 2 and K = 2 in both and differs only in N, so it accumulates every
+entry the same way. A row's arithmetic does not depend on the rows
+beside it, so a target gets the same result in any stack, down to the
+last bit. In each row the previously appended gate keeps the 1000
+sentinel, so it can never win; the scores are sorted ascending (ties by
+alphabet position), a draw picks uniformly from the best ``top_k``, and
+the pick is appended only when it strictly improves
 on the row's best distance so far. The best distance starts at the empty
 sequence's own distance, so the identity is always a candidate answer: a
 rotation close to identity comes back as an empty sequence, and nothing
@@ -46,10 +50,11 @@ from .matrix import DistanceMetric, check_unitary, distance, distances
 UNSCORED = 1000.0
 RANK_ATOL = 1e-12  # distances closer than this are a tie; shorter wins
 # Rows of one kernel step; a target's restarts always share a block. On
-# sel8-sweep, 128 rows ran as fast as 256 and raised peak RSS half as much.
+# sel8-sweep, 128 rows were the fastest of 64-1280 and kept peak RSS lowest.
 BLOCK_ROWS = 128
 
 _ALPHABET_STACK = np.stack([unitary(kind) for kind in ALPHABET])  # (11, 2, 2)
+_ALPHABET_ROWS = _ALPHABET_STACK.reshape(-1, 2)  # (22, 2): every gate's two rows
 
 
 @dataclass(frozen=True)
@@ -146,7 +151,7 @@ def _walk(targets: np.ndarray, keys: list, params: GreedyParams) -> list[GreedyR
     prev = np.full(n, -1)
     taken = np.full((n, params.iterations), -1)  # accepted alphabet index per step
     for step in range(params.iterations):
-        trials = _ALPHABET_STACK @ acc[:, None]  # (n, 11, 2, 2)
+        trials = (_ALPHABET_ROWS @ acc).reshape(n, len(ALPHABET), 2, 2)
         scores = distances(row_targets, trials, params.metric)
         has_prev = prev >= 0
         scores[has_prev, prev[has_prev]] = UNSCORED  # would invite x·x = id style cancellation

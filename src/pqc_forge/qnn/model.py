@@ -213,10 +213,12 @@ def load_model(path) -> Model:
     """Read a circuit file plus sidecar back into a Model.
 
     Raises ValueError when the sidecar lacks a key, holds a value of the
-    wrong type, counts fewer than one class or feature, disagrees with
-    the circuit's qubit count, its own class count or its feature count,
+    wrong type, counts fewer than one class or feature, holds a negative
+    seed, disagrees with the circuit's qubit count, its own class count or
+    its feature count, names readout qubits other than ``0 … n_classes−1``,
     or holds a non-finite normalization bound, a hi bound below its lo or
-    a non-finite readout weight.
+    a non-finite readout weight. A sidecar without ``readout_qubits``
+    loads.
     """
     path = Path(path)
     ansatz = circ.load(path)
@@ -248,6 +250,16 @@ def load_model(path) -> Model:
             raise ValueError(
                 f"{side} needs at least one class and one feature, "
                 f"got {n_classes} and {feature_count}"
+            )
+        for key, value in (("seed", seed), ("split_seed", split_seed)):
+            if value < 0:
+                raise ValueError(f"{side} has a malformed entry: {key} must be >= 0, got {value}")
+        # the model reads qubits 0 … n_classes−1; a sidecar may only confirm that
+        want = json.dumps(list(range(n_classes)))
+        got = json.dumps(meta["readout_qubits"]) if "readout_qubits" in meta else want
+        if got != want:
+            raise ValueError(
+                f"{side} has a malformed entry: readout_qubits must be {want}, got {got}"
             )
         model = Model(
             ansatz=ansatz,

@@ -439,12 +439,24 @@ def test_sweep_dataset_without_sidecar_fails(runner, tmp_path):
             lambda meta: meta.update(feature_count=True),
             "has a malformed entry: feature_count must be an integer, got true",
         ),
+        (
+            lambda meta: meta.update(readout_qubits=[3, 2, 1]),
+            "has a malformed entry: readout_qubits must be [0, 1, 2], got [3, 2, 1]",
+        ),
+        (
+            lambda meta: meta.update(split_seed=-1),
+            "has a malformed entry: split_seed must be >= 0, got -1",
+        ),
+        (
+            lambda meta: meta.update(seed=-1),
+            "has a malformed entry: seed must be >= 0, got -1",
+        ),
     ],
     ids=[
         "missing-key", "qubit-count", "class-count", "bounds-length", "bounds-non-finite",
         "bounds-reversed", "readout-nan", "readout-infinity", "wrong-type",
         "no-features", "no-classes", "float-qubits", "string-classes", "float-seed",
-        "bool-features",
+        "bool-features", "readout-qubits", "negative-split-seed", "negative-seed",
     ],
 )
 def test_eval_rejects_bad_sidecar(runner, tmp_path, edit, message):

@@ -45,6 +45,7 @@ SIDECAR_FIELDS = [
     ("n_qubits",),
     ("n_classes",),
     ("feature_count",),
+    ("readout_qubits",),
     ("readout_scale",),
     ("readout_bias",),
     ("normalization",),

@@ -8,6 +8,8 @@ import pytest
 from helpers import random_1q_target, sequence_product
 from pqc_forge.gates import ALPHABET, GateKind, rx, unitary
 from pqc_forge.greedy import (
+    _ALPHABET_ROWS,
+    _ALPHABET_STACK,
     BLOCK_ROWS,
     GreedyParams,
     exhaustive_oracle,
@@ -109,6 +111,23 @@ def test_batch_equals_one_target_calls(metric, restarts):
         one = param_gate_transform(target, params, seed_key=key)
         assert got.sequence == one.sequence
         assert got.final_dist.hex() == one.final_dist.hex()
+
+
+def test_alphabet_rows_product_is_the_per_candidate_product():
+    # the kernel's one (22, 2) @ (2, 2) product per row against the one
+    # (2, 2) @ (2, 2) product per candidate it replaced
+    rng = np.random.default_rng(20)
+    stacks = [np.broadcast_to(np.eye(2, dtype=complex), (n, 2, 2)) for n in (1, 7, 128)]
+    for _ in range(20):
+        n = int(rng.integers(1, 301))
+        z = rng.normal(size=(n, 2, 2)) + 1j * rng.normal(size=(n, 2, 2))
+        stacks.append(np.linalg.qr(z)[0])
+        words = [rng.integers(len(ALPHABET), size=rng.integers(1, 13)) for _ in range(n)]
+        stacks.append(np.stack([sequence_product(ALPHABET[i] for i in w) for w in words]))
+    for acc in stacks:
+        want = _ALPHABET_STACK @ acc[:, None]
+        got = (_ALPHABET_ROWS @ acc).reshape(len(acc), len(ALPHABET), 2, 2)
+        assert np.array_equal(got, want)
 
 
 def test_batch_of_no_targets_is_empty():

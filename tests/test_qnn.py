@@ -619,6 +619,17 @@ def test_version_1_sidecar_loads_with_identity_readout(tmp_path, iris):
     assert np.array_equal(loaded.readout_bias, np.zeros(3))
 
 
+def test_sidecar_without_readout_qubits_loads(tmp_path, iris):
+    m = qnn.build_model(qnn.LayerSpec(BEL, 1, 4), iris, seed=0)
+    path = tmp_path / "bare.qc"
+    qnn.save_model(m, path)
+    side = qnn.sidecar_path(path)
+    meta = json.loads(side.read_text())
+    del meta["readout_qubits"]
+    side.write_text(json.dumps(meta))
+    assert qnn.load_model(path).readout_qubits == (0, 1, 2)
+
+
 def test_readout_shape_is_checked(iris):
     m = qnn.build_model(qnn.LayerSpec(BEL, 1, 4), iris, seed=0)
     with pytest.raises(ValueError, match="readout_scale"):

@@ -20,6 +20,11 @@ one thread:
 * the ``json.dumps`` text of both ``metrics`` lists and of every optimize
   report, as the CLI writes it: the value items above cannot see a key
   order or a tuple that replaced a list.
+* ``greedy.transform_batch`` of 480 random targets per distance metric
+  (random unitaries and alphabet words), in stacks of 24 with random
+  ``iterations``, ``top_k``, ``restarts`` and int, tuple or None keys:
+  every word and ``final_dist.hex()``, so the search kernel is compared
+  directly, not only through the optimize passes.
 
 An item is reduced to a SHA-256 of its values: floats and arrays are
 hashed after adding 0.0, so -0.0 and 0.0 hash alike, and wall times are
@@ -128,6 +133,38 @@ def _every_kind_circuits(rng, count=200):
         yield Circuit(n, tuple(ops))
 
 
+def _searches(rng) -> list:
+    """Words and exact distances of random ``transform_batch`` stacks."""
+    from pqc_forge.gates import ALPHABET, unitary
+    from pqc_forge.greedy import GreedyParams, transform_batch
+    from pqc_forge.matrix import DistanceMetric
+
+    out = []
+    for metric in DistanceMetric:
+        for _ in range(20):
+            targets, keys = [], []
+            for i in range(24):
+                if i % 2:
+                    z = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+                    targets.append(np.linalg.qr(z)[0])
+                else:
+                    u = np.eye(2, dtype=complex)
+                    for g in rng.integers(len(ALPHABET), size=int(rng.integers(0, 8))):
+                        u = unitary(ALPHABET[g]) @ u
+                    targets.append(u)
+                keys.append([None, int(rng.integers(100)), (int(rng.integers(9)), i)][i % 3])
+            params = GreedyParams(
+                iterations=int(rng.integers(1, 31)),
+                top_k=int(rng.integers(1, len(ALPHABET) + 1)),
+                metric=metric,
+                seed=int(rng.integers(100)),
+                restarts=int(rng.integers(1, 11)),
+            )
+            results = transform_batch(targets, params, keys)
+            out += [(r.mnemonics(), r.final_dist.hex()) for r in results]
+    return out
+
+
 def items():
     """(name, value) of every compared item, in a fixed order."""
     from pqc_forge import optimizer, qnn, sim
@@ -151,6 +188,7 @@ def items():
     ]
     yield "metrics of ansatzes", ansatz_metrics
     yield "metrics of ansatzes, JSON text", json.dumps(ansatz_metrics)
+    yield "greedy searches", _searches(rng)
 
     data = qnn.load_dataset("iris", seed=0)
     x, y = data.train_x[:BATCH], data.train_y[:BATCH]
