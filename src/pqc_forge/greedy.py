@@ -4,7 +4,7 @@ A search runs ``restarts`` independent greedy walks per target. The one
 kernel, ``transform_batch``, stacks the walks of many targets as rows,
 target by target, in blocks of at most ``BLOCK_ROWS`` rows that never
 split a target's restarts; ``param_gate_transform`` is its one-target
-case. One step forms every row's 11 candidates as one (22, 2)·(2, 2)
+case. Scoring a row forms its 11 candidates as one (22, 2)·(2, 2)
 product, the alphabet's stacked rows times the row's accepted product,
 and scores the (rows, 11, 2, 2) stack against each row's target in one
 ``matrix.distances`` call. That product gives the bits of one
@@ -22,6 +22,16 @@ rotation close to identity comes back as an empty sequence, and nothing
 ever gets appended unless it genuinely beats doing nothing. The prev-gate
 exclusion and the randomized draw exist to break the x·x / s·s†·s·s†
 identity loops a pure argmin would fall into.
+
+A row's scores depend only on its target, its accepted product and its
+previous gate, and those change only when the row accepts. So each row
+keeps its sorted best ``top_k`` candidates (alphabet index, score and
+product), a step reads every row's draw against them, and only the rows
+that accepted in the step before are scored again; at the first step
+that is every row. A kept candidate is the one a rescore would form,
+bit for bit, since scoring a row is the same arithmetic whichever rows
+share its stack, so every word and distance is the one that rescoring
+every row at every step gives.
 
 The randomized draw makes single walks fall into occasional dead ends
 (an accepted mediocre gate whose only improving successor is excluded as
@@ -49,8 +59,13 @@ from .matrix import DistanceMetric, check_unitary, distance, distances
 
 UNSCORED = 1000.0
 RANK_ATOL = 1e-12  # distances closer than this are a tie; shorter wins
-# Rows of one kernel step; a target's restarts always share a block. On
-# sel8-sweep, 128 rows were the fastest of 64-1280 and kept peak RSS lowest.
+# Rows of one kernel step; a target's restarts always share a block.
+# Medians of 3 bench/run.py runs (10 s each, 2 cores, 1 BLAS thread):
+#   rows                    128    256    512   1280   (128 rows, full rescore)
+#   sel8-sweep run_s ms     71.3   92.8   61.8   59.5   95.1
+#   sel8-sweep peak RSS MB  41.3   41.7   42.6   44.5   41.5
+# 512 and 1280 rows put peak RSS 2.6% and 7% above the full rescore's,
+# and 256 rows were no faster, so 128 stays.
 BLOCK_ROWS = 128
 
 _ALPHABET_STACK = np.stack([unitary(kind) for kind in ALPHABET])  # (11, 2, 2)
@@ -134,46 +149,55 @@ def transform_batch(
 
 def _walk(targets: np.ndarray, keys: list, params: GreedyParams) -> list[GreedyResult]:
     """Every restart of every target as one row; the best row per target."""
-    n_restarts = params.restarts
+    n_restarts, top_k = params.restarts, params.top_k
     streams = [
         np.random.default_rng(key if r == 0 else _key_tuple(key) + (r,))
         for key in keys
         for r in range(n_restarts)
     ]
-    draws = np.stack([rng.integers(params.top_k, size=params.iterations) for rng in streams])
+    draws = np.stack([rng.integers(top_k, size=params.iterations) for rng in streams])
 
     n = len(streams)
     rows = np.arange(n)
     row_targets = np.repeat(targets, n_restarts, axis=0)[:, None]  # (n, 1, 2, 2)
     eye = np.eye(2, dtype=complex)
-    acc = np.broadcast_to(eye, (n, 2, 2))  # product of each row's accepted sequence
+    acc = np.repeat(eye[None], n, axis=0)  # product of each row's accepted sequence
     best = np.repeat(distances(targets, eye, params.metric), n_restarts)  # empty sequence
-    prev = np.full(n, -1)
     taken = np.full((n, params.iterations), -1)  # accepted alphabet index per step
+    # each row's best top_k candidates, ascending: alphabet index, score, product
+    cand = np.empty((n, top_k), dtype=int)
+    cand_score = np.empty((n, top_k))
+    cand_prod = np.empty((n, top_k, 2, 2), dtype=complex)
+    moved = rows  # rows whose candidates changed: every row before the first step
     for step in range(params.iterations):
-        trials = (_ALPHABET_ROWS @ acc).reshape(n, len(ALPHABET), 2, 2)
-        scores = distances(row_targets, trials, params.metric)
-        has_prev = prev >= 0
-        scores[has_prev, prev[has_prev]] = UNSCORED  # would invite x·x = id style cancellation
-        # ascending by score, ties by alphabet position (keeps runs reproducible)
-        order = np.argsort(scores, axis=1, kind="stable")
-        pick = order[rows, draws[:, step]]
-        score = scores[rows, pick]
-        took = score < best
-        prev[took] = taken[took, step] = pick[took]
-        best[took] = score[took]
-        acc = np.where(took[:, None, None], trials[rows, pick], acc)
+        if moved.size:
+            sub = np.arange(len(moved))
+            trials = (_ALPHABET_ROWS @ acc[moved]).reshape(len(moved), len(ALPHABET), 2, 2)
+            scores = distances(row_targets[moved], trials, params.metric)
+            if step:  # every moved row has just appended a gate
+                scores[sub, taken[moved, step - 1]] = UNSCORED  # would invite x·x = id
+            # ascending by score, ties by alphabet position (keeps runs reproducible)
+            order = np.argsort(scores, axis=1, kind="stable")[:, :top_k]
+            cand[moved] = order
+            cand_score[moved] = scores[sub[:, None], order]
+            cand_prod[moved] = trials[sub[:, None], order]
+        draw = draws[:, step]
+        score = cand_score[rows, draw]
+        moved = np.flatnonzero(score < best)
+        pos = draw[moved]
+        taken[moved, step] = cand[moved, pos]
+        best[moved] = score[moved]
+        acc[moved] = cand_prod[moved, pos]
 
+    ranks = list(zip(best.tolist(), (taken >= 0).sum(axis=1).tolist()))
     results = []
-    for target_taken, target_best in zip(
-        taken.reshape(len(keys), n_restarts, -1), best.reshape(len(keys), n_restarts)
-    ):
-        winner = None
-        for picks, dist in zip(target_taken, target_best):
-            result = GreedyResult(tuple(ALPHABET[i] for i in picks if i >= 0), float(dist))
-            if winner is None or _outranks(result, winner):
-                winner = result
-        results.append(winner)
+    for lo in range(0, n, n_restarts):
+        win = lo
+        for row in range(lo + 1, lo + n_restarts):
+            if _outranks(ranks[row], ranks[win]):
+                win = row
+        word = tuple(ALPHABET[i] for i in taken[win] if i >= 0)
+        results.append(GreedyResult(word, ranks[win][0]))
     return results
 
 
@@ -181,11 +205,13 @@ def _key_tuple(key) -> tuple:
     return tuple(key) if isinstance(key, tuple) else (key,)
 
 
-def _outranks(a: "GreedyResult", b: "GreedyResult") -> bool:
-    """Smaller distance wins; ties within RANK_ATOL go to the shorter word."""
-    if a.final_dist < b.final_dist - RANK_ATOL:
+def _outranks(a: tuple[float, int], b: tuple[float, int]) -> bool:
+    """Whether (distance, length) ``a`` beats ``b``: the smaller distance
+    wins; distances within RANK_ATOL tie, and then the shorter word wins."""
+    (dist_a, len_a), (dist_b, len_b) = a, b
+    if dist_a < dist_b - RANK_ATOL:
         return True
-    return a.final_dist <= b.final_dist + RANK_ATOL and len(a.sequence) < len(b.sequence)
+    return dist_a <= dist_b + RANK_ATOL and len_a < len_b
 
 
 def exhaustive_oracle(

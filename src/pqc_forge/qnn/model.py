@@ -49,6 +49,9 @@ from .data import Dataset
 
 SIDECAR_FORMAT = "pqc-forge-model"
 SIDECAR_VERSION = 2  # 2 added the readout scale and bias
+# The largest register a model may have: at the default batch of 16 the
+# gradient's (32, 2²⁰) complex state stack alone is 512 MiB.
+MAX_QUBITS = 20
 
 
 class LayerKind(Enum):
@@ -67,6 +70,8 @@ class LayerSpec:
             raise ValueError(f"layers must be >= 1, got {self.layers}")
         if self.n_qubits < 1:
             raise ValueError(f"n_qubits must be >= 1, got {self.n_qubits}")
+        if self.n_qubits > MAX_QUBITS:
+            raise ValueError(f"n_qubits must be <= {MAX_QUBITS}, got {self.n_qubits}")
 
 
 def _ring(layer: int, n: int, kind: LayerKind) -> list[tuple[int, int]]:
@@ -213,12 +218,12 @@ def load_model(path) -> Model:
     """Read a circuit file plus sidecar back into a Model.
 
     Raises ValueError when the sidecar lacks a key, holds a value of the
-    wrong type, counts fewer than one class or feature, holds a negative
-    seed, disagrees with the circuit's qubit count, its own class count or
-    its feature count, names readout qubits other than ``0 … n_classes−1``,
-    or holds a non-finite normalization bound, a hi bound below its lo or
-    a non-finite readout weight. A sidecar without ``readout_qubits``
-    loads.
+    wrong type, counts more than ``MAX_QUBITS`` qubits or fewer than one
+    class or feature, holds a negative seed, disagrees with the circuit's
+    qubit count, its own class count or its feature count, names readout
+    qubits other than ``0 … n_classes−1``, or holds a non-finite
+    normalization bound, a hi bound below its lo or a non-finite readout
+    weight. A sidecar without ``readout_qubits`` loads.
     """
     path = Path(path)
     ansatz = circ.load(path)
@@ -242,6 +247,10 @@ def load_model(path) -> Model:
                 ("split_seed", meta.get("split_seed", 0)),
             )
         )
+        if n_qubits > MAX_QUBITS:
+            raise ValueError(
+                f"{side} has a malformed entry: n_qubits must be <= {MAX_QUBITS}, got {n_qubits}"
+            )
         if n_qubits != ansatz.n_qubits:
             raise ValueError(f"{side} says {n_qubits} qubits, the circuit has {ansatz.n_qubits}")
         if n_classes > n_qubits:

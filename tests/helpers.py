@@ -6,7 +6,8 @@ distance against them. ``zero_state``, ``expect_z`` and ``apply_op`` are
 the one-state forms of the simulator's batched kernels. ``decompose_to_basis`` and ``decompose`` rewrite
 gates over the hardware basis {cx, id, rz, sx, x}; the tests check each
 rewrite against the gate unitary and ``gates.BASIS_COST`` against its
-length.
+length. ``reference_walk`` is the greedy search scored in full at every
+step, the reference for ``greedy.transform_batch``'s incremental walk.
 """
 
 import math
@@ -16,7 +17,8 @@ import numpy as np
 from pqc_forge import sim
 from pqc_forge.circuit import Circuit, Op
 from pqc_forge.gates import ALPHABET, N_ANGLES, ROTATION_KINDS, GateKind, unitary
-from pqc_forge.matrix import check_unitary
+from pqc_forge.greedy import _ALPHABET_ROWS, RANK_ATOL, UNSCORED, GreedyResult, _key_tuple
+from pqc_forge.matrix import check_unitary, distances
 
 MAX_EMBED_QUBITS = 12
 MAX_UNITARY_QUBITS = 10
@@ -240,3 +242,61 @@ def decompose(c: Circuit) -> Circuit:
         for kind, angles in decompose_to_basis(op.kind, op.angles):
             out.append(Op(kind, op.qubits, angles))
     return Circuit(c.n_qubits, tuple(out))
+
+
+def reference_walk(targets, keys, params):
+    """Every restart of every target as one row of one stack, every row's
+    11 candidates rescored at every step.
+
+    ``keys`` gives one stream key per target (None: ``params.seed``).
+    Returns the best row per target, ranked by distance (ties within
+    RANK_ATOL to the shorter word) in restart order, and the (rows,
+    iterations) array of accepted alphabet indices, -1 where a row
+    accepted nothing.
+    """
+    n_restarts = params.restarts
+    keys = [params.seed if key is None else key for key in keys]
+    streams = [
+        np.random.default_rng(key if r == 0 else _key_tuple(key) + (r,))
+        for key in keys
+        for r in range(n_restarts)
+    ]
+    draws = np.stack([rng.integers(params.top_k, size=params.iterations) for rng in streams])
+
+    targets = np.stack(targets)
+    n = len(streams)
+    rows = np.arange(n)
+    row_targets = np.repeat(targets, n_restarts, axis=0)[:, None]
+    eye = np.eye(2, dtype=complex)
+    acc = np.broadcast_to(eye, (n, 2, 2))
+    best = np.repeat(distances(targets, eye, params.metric), n_restarts)
+    prev = np.full(n, -1)
+    taken = np.full((n, params.iterations), -1)
+    for step in range(params.iterations):
+        trials = (_ALPHABET_ROWS @ acc).reshape(n, len(ALPHABET), 2, 2)
+        scores = distances(row_targets, trials, params.metric)
+        has_prev = prev >= 0
+        scores[has_prev, prev[has_prev]] = UNSCORED
+        order = np.argsort(scores, axis=1, kind="stable")
+        pick = order[rows, draws[:, step]]
+        score = scores[rows, pick]
+        took = score < best
+        prev[took] = taken[took, step] = pick[took]
+        best[took] = score[took]
+        acc = np.where(took[:, None, None], trials[rows, pick], acc)
+
+    results = []
+    for target_taken, target_best in zip(
+        taken.reshape(len(keys), n_restarts, -1), best.reshape(len(keys), n_restarts)
+    ):
+        winner = None
+        for picks, dist in zip(target_taken, target_best):
+            result = GreedyResult(tuple(ALPHABET[i] for i in picks if i >= 0), float(dist))
+            if winner is None or (
+                result.final_dist < winner.final_dist - RANK_ATOL
+                or result.final_dist <= winner.final_dist + RANK_ATOL
+                and len(result.sequence) < len(winner.sequence)
+            ):
+                winner = result
+        results.append(winner)
+    return results, taken

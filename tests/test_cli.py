@@ -451,12 +451,17 @@ def test_sweep_dataset_without_sidecar_fails(runner, tmp_path):
             lambda meta: meta.update(seed=-1),
             "has a malformed entry: seed must be >= 0, got -1",
         ),
+        (
+            lambda meta: meta.update(n_qubits=40),
+            "has a malformed entry: n_qubits must be <= 20, got 40",
+        ),
     ],
     ids=[
         "missing-key", "qubit-count", "class-count", "bounds-length", "bounds-non-finite",
         "bounds-reversed", "readout-nan", "readout-infinity", "wrong-type",
         "no-features", "no-classes", "float-qubits", "string-classes", "float-seed",
         "bool-features", "readout-qubits", "negative-split-seed", "negative-seed",
+        "too-many-qubits",
     ],
 )
 def test_eval_rejects_bad_sidecar(runner, tmp_path, edit, message):
@@ -577,6 +582,19 @@ def test_invalid_config_values_exit_2(runner, tmp_path, command, flags, message)
     errors = [line for line in result.output.splitlines() if line.startswith("Error:")]
     assert errors == [f"Error: {message}"]
     assert not (tmp_path / "out.qc").exists()
+
+
+def test_train_rejects_too_many_qubits_before_any_work(runner, tmp_path):
+    # the missing data file is never opened: the register size fails first
+    result = invoke(
+        runner, "train", "--dataset", "iris", "--data", str(tmp_path / "missing.csv"),
+        "--qubits", "40", "--out", str(tmp_path / "model.qc"),
+    )
+    assert result.exit_code == 2
+    assert "Traceback" not in result.output
+    errors = [line for line in result.output.splitlines() if line.startswith("Error:")]
+    assert errors == ["Error: n_qubits must be <= 20, got 40"]
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize(

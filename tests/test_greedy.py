@@ -5,7 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from helpers import random_1q_target, sequence_product
+from helpers import random_1q_target, reference_walk, sequence_product
+from pqc_forge import greedy
 from pqc_forge.gates import ALPHABET, GateKind, rx, unitary
 from pqc_forge.greedy import (
     _ALPHABET_ROWS,
@@ -16,7 +17,7 @@ from pqc_forge.greedy import (
     param_gate_transform,
     transform_batch,
 )
-from pqc_forge.matrix import DistanceMetric, distance
+from pqc_forge.matrix import DistanceMetric, distance, distances
 
 QUARTER_BAND_BOUND = 1 - math.cos(math.pi / 8)  # best single gate off-grid
 
@@ -128,6 +129,61 @@ def test_alphabet_rows_product_is_the_per_candidate_product():
         want = _ALPHABET_STACK @ acc[:, None]
         got = (_ALPHABET_ROWS @ acc).reshape(len(acc), len(ALPHABET), 2, 2)
         assert np.array_equal(got, want)
+
+
+def reference_targets(rng, n):
+    """Random unitaries, exact alphabet words, the identity and rotations
+    so close to it that no gate improves on the empty word."""
+    targets = []
+    for i in range(n):
+        kind = i % 4
+        if kind == 0:
+            z = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+            targets.append(np.linalg.qr(z)[0])
+        elif kind == 1:
+            word = rng.integers(len(ALPHABET), size=rng.integers(1, 7))
+            targets.append(sequence_product(ALPHABET[w] for w in word))
+        elif kind == 2:
+            targets.append(np.eye(2, dtype=complex))
+        else:
+            gate = (GateKind.RX, GateKind.RY, GateKind.RZ)[i % 3]
+            targets.append(unitary(gate, (float(rng.uniform(-1e-3, 1e-3)),)))
+    return targets
+
+
+@pytest.mark.parametrize("metric", [P, L])
+@pytest.mark.parametrize("top_k", [1, 11])
+@pytest.mark.parametrize("restarts", [1, 10])
+@pytest.mark.parametrize("iterations", [1, 30])
+def test_batch_equals_the_full_rescore_walk(metric, top_k, restarts, iterations):
+    # more targets than one block holds, repeated seed keys
+    rng = np.random.default_rng([top_k, restarts, iterations])
+    targets = reference_targets(rng, BLOCK_ROWS + 12)
+    keys = [[None, i % 5, (i % 3, 7)][i % 3] for i in range(len(targets))]
+    params = GreedyParams(iterations, top_k, metric, seed=2, restarts=restarts)
+    want, _ = reference_walk(targets, keys, params)
+    got = transform_batch(targets, params, keys)
+    assert [r.sequence for r in got] == [r.sequence for r in want]
+    assert [r.final_dist.hex() for r in got] == [r.final_dist.hex() for r in want]
+
+
+def test_a_step_rescores_only_the_rows_that_accepted(monkeypatch):
+    rng = np.random.default_rng(21)
+    targets = reference_targets(rng, 24)
+    keys = list(range(len(targets)))
+    params = GreedyParams(iterations=20, top_k=4, restarts=8)
+    _, taken = reference_walk(targets, keys, params)
+    scored = []
+
+    def counting(u, vs, metric):
+        if vs.ndim == 4:  # a candidate stack, not the empty sequence's (2, 2)
+            scored.append(len(vs))
+        return distances(u, vs, metric)
+
+    monkeypatch.setattr(greedy, "distances", counting)
+    transform_batch(targets, params, keys)
+    # every row at step 0, then each row after each step it accepted in
+    assert sum(scored) == len(taken) + int((taken[:, :-1] >= 0).sum())
 
 
 def test_batch_of_no_targets_is_empty():
