@@ -9,9 +9,10 @@ any artifact can be traced back to the exact invocation. ``--seed``
 defaults to $PQC_FORGE_SEED, then 0, never to entropy.
 
 Exit codes: 0 success; 1 an input or evaluation failure (an unreadable
-or malformed file, a model that does not fit its data) or running out of
-memory, reported as one ``error:`` line; 2 a usage error (a bad flag
-value, a negative seed among them), reported by click.
+or malformed file, a model that does not fit its data, a training run
+that diverges) or running out of memory, reported as one ``error:``
+line; 2 a usage error (a bad flag value, a negative seed among them),
+reported by click.
 A command never writes over a file it reads or another file it writes:
 paths that resolve to one file are a usage error, before any work.
 """
@@ -42,9 +43,6 @@ from .qnn.model import check_model_path, sidecar_path
 
 _TRAIN_DEFAULTS = qnn.TrainConfig()
 _GREEDY_DEFAULTS = GreedyParams()
-_METRICS = {m.value: m for m in DistanceMetric}
-_MODES = {m.value: m for m in OptimizeMode}
-_LAYER_KINDS = {k.value: k for k in qnn.LayerKind}
 
 
 def _manifest() -> dict:
@@ -70,13 +68,10 @@ def _manifest_path(csv_path) -> Path:
     return Path(str(csv_path) + ".manifest.json")
 
 
-def _write_csv(path, rows: list[dict], manifest: dict) -> None:
-    fields = list(rows[0].keys())
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.DictWriter(fh, fieldnames=fields)
-        writer.writeheader()
-        writer.writerows(rows)
-    _write_json(_manifest_path(path), manifest)
+def _write_csv(fh, rows: list[dict]) -> None:
+    writer = csv.DictWriter(fh, fieldnames=list(rows[0]))
+    writer.writeheader()
+    writer.writerows(rows)
 
 
 @contextmanager
@@ -119,6 +114,16 @@ def _model_writes(out_path) -> dict:
         "--out's sidecar": sidecar_path(out_path),
         "the history": _history_path(out_path),
     }
+
+
+def _save_trained(model, history, out_path) -> Path:
+    """Write the model, its sidecar and its history, each with the manifest;
+    returns the history's path."""
+    manifest = _manifest()
+    qnn.save_model(model, out_path, extra={"manifest": manifest})
+    hist_path = _history_path(out_path)
+    _write_json(hist_path, {**history.as_dict(), "manifest": manifest})
+    return hist_path
 
 
 def _load(what: str, fn, *args):
@@ -183,11 +188,19 @@ def _greedy_flags(func):
     func = click.option("--top-k", type=int, default=_GREEDY_DEFAULTS.top_k, show_default=True)(func)
     func = click.option(
         "--metric",
-        type=click.Choice(sorted(_METRICS)),
+        type=click.Choice(sorted(m.value for m in DistanceMetric)),
         default=_GREEDY_DEFAULTS.metric.value,
         show_default=True,
     )(func)
     return _seed_option(func)
+
+
+_mode_option = click.option(
+    "--mode",
+    type=click.Choice(sorted(m.value for m in OptimizeMode)),
+    default=OptimizeMode.PER_GATE.value,
+    show_default=True,
+)
 
 
 @main.command("approx-gate")
@@ -211,7 +224,7 @@ def cmd_approx_gate(gate, angle, angle_grid, iters, top_k, metric, seed, restart
         raise click.UsageError("give exactly one of --angle or --angle-grid")
     with _usage_errors():
         params = GreedyParams(
-            iterations=iters, top_k=top_k, metric=_METRICS[metric], seed=seed,
+            iterations=iters, top_k=top_k, metric=DistanceMetric(metric), seed=seed,
             restarts=restarts,
         )
     kind = GateKind(gate)
@@ -248,9 +261,7 @@ def cmd_approx_gate(gate, angle, angle_grid, iters, top_k, metric, seed, restart
         click.echo(f"final dist:  {row['final_dist']:.6e}")
         click.echo(f"oracle dist: {row['oracle_dist_len4']:.6e} (length <= 4)")
     else:
-        writer = csv.DictWriter(sys.stdout, fieldnames=list(rows[0].keys()))
-        writer.writeheader()
-        writer.writerows(rows)
+        _write_csv(sys.stdout, rows)
 
 
 @main.command("metrics")
@@ -274,12 +285,7 @@ def cmd_metrics(in_path, json_path):
 @main.command("optimize")
 @click.option("--in", "in_path", type=click.Path(), required=True)
 @click.option("--tolerance", type=float, required=True)
-@click.option(
-    "--mode",
-    type=click.Choice(sorted(_MODES)),
-    default=OptimizeMode.PER_GATE.value,
-    show_default=True,
-)
+@_mode_option
 @_greedy_flags
 @click.option("--out", "out_path", type=click.Path(), default=None)
 @click.option("--report", "report_path", type=click.Path(), default=None)
@@ -294,8 +300,8 @@ def cmd_optimize(in_path, tolerance, mode, iters, top_k, metric, seed, out_path,
     with _usage_errors():
         cfg = OptimizeConfig(
             tolerance=tolerance,
-            greedy=GreedyParams(iters, top_k, _METRICS[metric], seed),
-            mode=_MODES[mode],
+            greedy=GreedyParams(iters, top_k, DistanceMetric(metric), seed),
+            mode=OptimizeMode(mode),
         )
         if has_sidecar:
             check_model_path(out_path)
@@ -325,12 +331,7 @@ def cmd_optimize(in_path, tolerance, mode, iters, top_k, metric, seed, out_path,
 @main.command("sweep")
 @click.option("--in", "in_path", type=click.Path(), required=True)
 @click.option("--tolerances", required=True, help="Comma-separated list, e.g. 0.1,0.01.")
-@click.option(
-    "--mode",
-    type=click.Choice(sorted(_MODES)),
-    default=OptimizeMode.PER_GATE.value,
-    show_default=True,
-)
+@_mode_option
 @_greedy_flags
 @click.option("--dataset", type=click.Choice(qnn.data.DATASET_NAMES), default=None)
 @click.option("--data", "data_path", type=click.Path(), default=None)
@@ -344,9 +345,9 @@ def cmd_sweep(in_path, tolerances, mode, iters, top_k, metric, seed, dataset, da
     if not tols:
         raise click.UsageError("--tolerances is empty")
     with _usage_errors():
-        greedy = GreedyParams(iters, top_k, _METRICS[metric], seed)
+        greedy = GreedyParams(iters, top_k, DistanceMetric(metric), seed)
         # every tolerance is checked here, before any pass runs
-        cfgs = [OptimizeConfig(tolerance=t, greedy=greedy, mode=_MODES[mode]) for t in tols]
+        cfgs = [OptimizeConfig(tolerance=t, greedy=greedy, mode=OptimizeMode(mode)) for t in tols]
     _distinct_files(
         {"--in": in_path, "its sidecar": _existing_sidecar(in_path), "--data": data_path},
         {"--out": out_path, "--out's manifest": _manifest_path(out_path) if out_path else None},
@@ -361,12 +362,12 @@ def cmd_sweep(in_path, tolerances, mode, iters, top_k, metric, seed, dataset, da
 
     rows = sweep(c, tols, cfgs[0], evaluate=evaluate)
     if out_path:
-        _write_csv(out_path, rows, _manifest())
+        with open(out_path, "w", newline="", encoding="utf-8") as fh:
+            _write_csv(fh, rows)
+        _write_json(_manifest_path(out_path), _manifest())
         click.echo(f"wrote {out_path}")
     else:
-        writer = csv.DictWriter(sys.stdout, fieldnames=list(rows[0].keys()))
-        writer.writeheader()
-        writer.writerows(rows)
+        _write_csv(sys.stdout, rows)
 
 
 @main.command("train")
@@ -374,7 +375,7 @@ def cmd_sweep(in_path, tolerances, mode, iters, top_k, metric, seed, dataset, da
 @click.option("--data", "data_path", type=click.Path(), default=None)
 @click.option(
     "--layer-kind",
-    type=click.Choice(sorted(_LAYER_KINDS)),
+    type=click.Choice(sorted(k.value for k in qnn.LayerKind)),
     default=qnn.LayerKind.BASIC_ENTANGLER.value,
     show_default=True,
 )
@@ -388,7 +389,7 @@ def cmd_sweep(in_path, tolerances, mode, iters, top_k, metric, seed, dataset, da
 def cmd_train(dataset, data_path, layer_kind, layers, qubits, epochs, lr, batch_size, seed, out_path):
     """Train a fresh layered model; write circuit + sidecar + history."""
     with _usage_errors():
-        spec = qnn.LayerSpec(_LAYER_KINDS[layer_kind], layers, qubits)
+        spec = qnn.LayerSpec(qnn.LayerKind(layer_kind), layers, qubits)
         cfg = qnn.TrainConfig(
             epochs=epochs, learning_rate=lr, batch_size=batch_size, seed=seed
         )
@@ -398,10 +399,7 @@ def cmd_train(dataset, data_path, layer_kind, layers, qubits, epochs, lr, batch_
     with _usage_errors():
         model = qnn.build_model(spec, ds, seed=seed)
     model, history = qnn.train(model, ds, cfg)
-    manifest = _manifest()
-    qnn.save_model(model, out_path, extra={"manifest": manifest})
-    hist_path = _history_path(out_path)
-    _write_json(hist_path, {**history.as_dict(), "manifest": manifest})
+    hist_path = _save_trained(model, history, out_path)
     click.echo(
         f"trained {layer_kind}({layers}, {qubits}q) on {dataset}: "
         f"test accuracy {history.epochs[-1]['test_accuracy']:.4f}"
@@ -431,9 +429,7 @@ def cmd_retrain(model_path, dataset, data_path, epochs, lr, batch_size, seed, ou
     )
     model, ds = _model_and_dataset(model_path, dataset, data_path)
     model, history = qnn.retrain(model, ds, cfg)
-    manifest = _manifest()
-    qnn.save_model(model, out_path, extra={"manifest": manifest})
-    _write_json(_history_path(out_path), {**history.as_dict(), "manifest": manifest})
+    _save_trained(model, history, out_path)
     click.echo(f"retrained: test accuracy {history.epochs[-1]['test_accuracy']:.4f}")
     click.echo(f"wrote {out_path}")
 

@@ -25,13 +25,13 @@ identity loops a pure argmin would fall into.
 
 A row's scores depend only on its target, its accepted product and its
 previous gate, and those change only when the row accepts. So each row
-keeps its sorted best ``top_k`` candidates (alphabet index, score and
-product), a step reads every row's draw against them, and only the rows
-that accepted in the step before are scored again; at the first step
-that is every row. A kept candidate is the one a rescore would form,
-bit for bit, since scoring a row is the same arithmetic whichever rows
-share its stack, so every word and distance is the one that rescoring
-every row at every step gives.
+keeps the alphabet indices and scores of its sorted best ``top_k``
+candidates, not their products; a step reads every row's draw against
+them, and only the rows that accepted in the step before are scored
+again (at the first step, every row). An accepting row forms its new
+product as one (2, 2)·(2, 2) product: the bits its candidate was scored
+with. Scoring a row is the same arithmetic whichever rows share its
+stack, so every word and distance is the one full rescoring gives.
 
 The randomized draw makes single walks fall into occasional dead ends
 (an accepted mediocre gate whose only improving successor is excluded as
@@ -159,35 +159,31 @@ def _walk(targets: np.ndarray, keys: list, params: GreedyParams) -> list[GreedyR
 
     n = len(streams)
     rows = np.arange(n)
-    row_targets = np.repeat(targets, n_restarts, axis=0)[:, None]  # (n, 1, 2, 2)
     eye = np.eye(2, dtype=complex)
     acc = np.repeat(eye[None], n, axis=0)  # product of each row's accepted sequence
     best = np.repeat(distances(targets, eye, params.metric), n_restarts)  # empty sequence
     taken = np.full((n, params.iterations), -1)  # accepted alphabet index per step
-    # each row's best top_k candidates, ascending: alphabet index, score, product
+    # each row's best top_k candidates, ascending: alphabet index and score
     cand = np.empty((n, top_k), dtype=int)
     cand_score = np.empty((n, top_k))
-    cand_prod = np.empty((n, top_k, 2, 2), dtype=complex)
     moved = rows  # rows whose candidates changed: every row before the first step
     for step in range(params.iterations):
         if moved.size:
             sub = np.arange(len(moved))
             trials = (_ALPHABET_ROWS @ acc[moved]).reshape(len(moved), len(ALPHABET), 2, 2)
-            scores = distances(row_targets[moved], trials, params.metric)
+            scores = distances(targets[moved // n_restarts, None], trials, params.metric)
             if step:  # every moved row has just appended a gate
                 scores[sub, taken[moved, step - 1]] = UNSCORED  # would invite x·x = id
             # ascending by score, ties by alphabet position (keeps runs reproducible)
             order = np.argsort(scores, axis=1, kind="stable")[:, :top_k]
             cand[moved] = order
             cand_score[moved] = scores[sub[:, None], order]
-            cand_prod[moved] = trials[sub[:, None], order]
         draw = draws[:, step]
         score = cand_score[rows, draw]
         moved = np.flatnonzero(score < best)
-        pos = draw[moved]
-        taken[moved, step] = cand[moved, pos]
+        taken[moved, step] = cand[moved, draw[moved]]
         best[moved] = score[moved]
-        acc[moved] = cand_prod[moved, pos]
+        acc[moved] = _ALPHABET_STACK[taken[moved, step]] @ acc[moved]
 
     ranks = list(zip(best.tolist(), (taken >= 0).sum(axis=1).tolist()))
     results = []

@@ -49,6 +49,7 @@ from .data import Dataset
 
 SIDECAR_FORMAT = "pqc-forge-model"
 SIDECAR_VERSION = 2  # 2 added the readout scale and bias
+ENCODING_KIND = "cyclic-rx"  # the encoding rule above, the only one there is
 # The largest register a model may have: at the default batch of 16 the
 # gradient's (32, 2²⁰) complex state stack alone is 512 MiB.
 MAX_QUBITS = 20
@@ -192,7 +193,7 @@ def save_model(model: Model, path, extra: dict | None = None) -> None:
         "readout_qubits": list(model.readout_qubits),
         "readout_scale": model.readout_scale.tolist(),
         "readout_bias": model.readout_bias.tolist(),
-        "encoding": {"kind": "cyclic-rx"},
+        "encoding": {"kind": ENCODING_KIND},
         "normalization": {"lo": model.lo.tolist(), "hi": model.hi.tolist()},
         "layer": {"kind": model.layer_kind, "layers": model.layers},
         "seed": model.seed,
@@ -221,9 +222,11 @@ def load_model(path) -> Model:
     wrong type, counts more than ``MAX_QUBITS`` qubits or fewer than one
     class or feature, holds a negative seed, disagrees with the circuit's
     qubit count, its own class count or its feature count, names readout
-    qubits other than ``0 … n_classes−1``, or holds a non-finite
-    normalization bound, a hi bound below its lo or a non-finite readout
-    weight. A sidecar without ``readout_qubits`` loads.
+    qubits other than ``0 … n_classes−1``, a ``version`` other than 1
+    or 2 or an ``encoding.kind`` other than ``cyclic-rx``, or holds a
+    non-finite normalization bound, a hi bound below its lo or a
+    non-finite readout weight. A sidecar without ``readout_qubits``,
+    ``version`` or ``encoding`` loads.
     """
     path = Path(path)
     ansatz = circ.load(path)
@@ -235,6 +238,16 @@ def load_model(path) -> Model:
         raise FileNotFoundError(f"missing model sidecar {side}: {exc}") from exc
     if not isinstance(meta, dict) or meta.get("format") != SIDECAR_FORMAT:
         raise ValueError(f"{side} is not a {SIDECAR_FORMAT} sidecar")
+    # a sidecar may only name a version and an encoding this program reads
+    version = json.dumps(meta.get("version", SIDECAR_VERSION))
+    if version not in ("1", "2"):
+        raise ValueError(f"{side} has a malformed entry: version must be 1 or 2, got {version}")
+    encoding = meta.get("encoding", {})
+    kind = json.dumps(encoding.get("kind", ENCODING_KIND) if isinstance(encoding, dict) else encoding)
+    if kind != json.dumps(ENCODING_KIND):
+        raise ValueError(
+            f"{side} has a malformed entry: encoding.kind must be {json.dumps(ENCODING_KIND)}, got {kind}"
+        )
     try:
         n_qubits, n_classes, feature_count, layers, seed, split_seed = (
             _integer(side, key, value)

@@ -49,7 +49,7 @@ from __future__ import annotations
 import itertools
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -171,20 +171,18 @@ def encode_batch(model: Model, x: np.ndarray) -> np.ndarray:
     return states
 
 
-def _expect_z(model: Model, states: np.ndarray) -> np.ndarray:
-    """⟨Z⟩ on every readout qubit, shape (batch, n_classes)."""
-    cols = [sim.expect_z_batch(states, q) for q in model.readout_qubits]
-    return np.stack(cols, axis=1)
-
-
-def _logits_from_states(model: Model, states: np.ndarray) -> np.ndarray:
-    return model.readout_scale * _expect_z(model, states) + model.readout_bias
+def _forward(model: Model, x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """States after encoding and ansatz, ⟨Z⟩ on every readout qubit
+    (batch, n_classes) and the class logits, for raw (already scaled)
+    feature rows."""
+    states = sim.run_batch(model.ansatz, encode_batch(model, x))
+    expect = np.stack([sim.expect_z_batch(states, q) for q in model.readout_qubits], axis=1)
+    return states, expect, model.readout_scale * expect + model.readout_bias
 
 
 def logits_batch(model: Model, x: np.ndarray) -> np.ndarray:
     """Class logits for a batch of raw (already scaled) feature rows."""
-    states = sim.run_batch(model.ansatz, encode_batch(model, x))
-    return _logits_from_states(model, states)
+    return _forward(model, x)[2]
 
 
 def softmax(z: np.ndarray) -> np.ndarray:
@@ -238,9 +236,8 @@ def _loss_and_gradients(
     """``loss_and_gradient`` plus the readout gradient (d/dscale, d/dbias)."""
     ops = model.ansatz.ops
     slots = trainable_slots(model.ansatz)
-    states = sim.run_batch(model.ansatz, encode_batch(model, x))
-    expect = _expect_z(model, states)
-    probs = softmax(model.readout_scale * expect + model.readout_bias)
+    states, expect, logits = _forward(model, x)
+    probs = softmax(logits)
     loss = _cross_entropy(probs, y)
 
     # dL/dlogit; the batch mean is folded in here
@@ -289,11 +286,12 @@ def train(model: Model, dataset: Dataset, cfg: TrainConfig) -> tuple[Model, Hist
     The parameter vector is the trainable angles in slot order followed
     by the readout scale and bias. A circuit with no trainable angle left
     trains its readout alone and comes back with its circuit unchanged.
+    Raises ValueError naming the epoch once the loss or a parameter is
+    no longer finite.
     """
     history = History()
     rng = np.random.default_rng(cfg.seed)
     n_angles = len(trainable_slots(model.ansatz))
-    n_classes = model.n_classes
     params = np.concatenate(
         [get_params(model.ansatz), model.readout_scale, model.readout_bias]
     )
@@ -308,18 +306,22 @@ def train(model: Model, dataset: Dataset, cfg: TrainConfig) -> tuple[Model, Hist
         losses = []
         for start in range(0, len(order), cfg.batch_size):
             batch = order[start : start + cfg.batch_size]
-            loss, grad, readout_grad = _loss_and_gradients(
-                current, train_x[batch], train_y[batch]
-            )
+            # a diverging run overflows: it ends in the error below, not in warnings
+            with np.errstate(all="ignore"):
+                loss, grad, readout_grad = _loss_and_gradients(
+                    current, train_x[batch], train_y[batch]
+                )
+                full_grad = np.concatenate([grad, readout_grad])
+                params = adam.step(params, full_grad)
+            if not (math.isfinite(loss) and np.isfinite(params).all()):
+                raise ValueError(
+                    f"training diverged in epoch {epoch}: the loss or a parameter is no longer finite"
+                )
             losses.append(loss)
-            full_grad = np.concatenate([grad, readout_grad])
-            params = adam.step(params, full_grad)
             params[:n_angles] = _wrap_angles(params[:n_angles])
-            current = current.with_ansatz(
-                set_params(current.ansatz, params[:n_angles])
-            ).with_readout(
-                params[n_angles : n_angles + n_classes].copy(),
-                params[n_angles + n_classes :].copy(),
+            angles, scale, bias = np.split(params, [n_angles, n_angles + model.n_classes])
+            current = replace(
+                current, ansatz=set_params(current.ansatz, angles), readout_scale=scale, readout_bias=bias
             )
         history.epochs.append(
             {

@@ -6,9 +6,11 @@ import io
 import json
 import math
 import re
+import warnings
 from importlib import resources
 
 import numpy as np
+import click
 import pytest
 from click.testing import CliRunner
 
@@ -455,13 +457,25 @@ def test_sweep_dataset_without_sidecar_fails(runner, tmp_path):
             lambda meta: meta.update(n_qubits=40),
             "has a malformed entry: n_qubits must be <= 20, got 40",
         ),
+        (
+            lambda meta: meta.update(version=99),
+            "has a malformed entry: version must be 1 or 2, got 99",
+        ),
+        (
+            lambda meta: meta.update(version=2.0),
+            "has a malformed entry: version must be 1 or 2, got 2.0",
+        ),
+        (
+            lambda meta: meta["encoding"].update(kind="angle-ry"),
+            'has a malformed entry: encoding.kind must be "cyclic-rx", got "angle-ry"',
+        ),
     ],
     ids=[
         "missing-key", "qubit-count", "class-count", "bounds-length", "bounds-non-finite",
         "bounds-reversed", "readout-nan", "readout-infinity", "wrong-type",
         "no-features", "no-classes", "float-qubits", "string-classes", "float-seed",
         "bool-features", "readout-qubits", "negative-split-seed", "negative-seed",
-        "too-many-qubits",
+        "too-many-qubits", "unknown-version", "float-version", "unknown-encoding",
     ],
 )
 def test_eval_rejects_bad_sidecar(runner, tmp_path, edit, message):
@@ -669,3 +683,78 @@ def test_a_non_finite_dataset_value_exits_1(runner, tmp_path):
     result = runner.invoke(main, ["eval", "--model", str(out), "--data", str(data)])
     assert result.exit_code == 1
     assert result.output.splitlines() == [message]
+
+
+def test_a_diverging_training_run_is_one_error_line(runner, tmp_path):
+    out = tmp_path / "m.qc"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a numpy RuntimeWarning fails the test
+        result = invoke(
+            runner, "train", "--dataset", "iris", "--qubits", "4", "--layers", "1",
+            "--epochs", "2", "--lr", "1e300", "--out", str(out),
+        )
+    assert result.exit_code == 1
+    assert result.stdout == ""
+    assert result.stderr.splitlines() == [
+        "error: training diverged in epoch 1: the loss or a parameter is no longer finite"
+    ]
+    assert list(tmp_path.iterdir()) == []
+
+
+REQUIRED = "required"
+GREEDY = [("seed", "--seed", 0), ("metric", "--metric", "phase-invariant"),
+          ("top_k", "--top-k", 4), ("iters", "--iters", 20)]
+TRAINING = [("lr", "--lr", 0.01), ("batch_size", "--batch-size", 16), ("seed", "--seed", 0)]
+PARAMETERS = {
+    "approx-gate": [
+        ("gate", "--gate", REQUIRED), ("angle", "--angle", None),
+        ("angle_grid", "--angle-grid", None), *GREEDY, ("restarts", "--restarts", 8),
+    ],
+    "metrics": [("in_path", "--in", REQUIRED), ("json_path", "--json", None)],
+    "optimize": [
+        ("in_path", "--in", REQUIRED), ("tolerance", "--tolerance", REQUIRED),
+        ("mode", "--mode", "per-gate"), *GREEDY,
+        ("out_path", "--out", None), ("report_path", "--report", None),
+    ],
+    "sweep": [
+        ("in_path", "--in", REQUIRED), ("tolerances", "--tolerances", REQUIRED),
+        ("mode", "--mode", "per-gate"), *GREEDY, ("dataset", "--dataset", None),
+        ("data_path", "--data", None), ("out_path", "--out", None),
+    ],
+    "train": [
+        ("dataset", "--dataset", REQUIRED), ("data_path", "--data", None),
+        ("layer_kind", "--layer-kind", "bel"), ("layers", "--layers", 5),
+        ("qubits", "--qubits", REQUIRED), ("epochs", "--epochs", 50), *TRAINING,
+        ("out_path", "--out", REQUIRED),
+    ],
+    "retrain": [
+        ("model_path", "--model", REQUIRED), ("dataset", "--dataset", None),
+        ("data_path", "--data", None), ("epochs", "--epochs", 20), *TRAINING,
+        ("out_path", "--out", REQUIRED),
+    ],
+    "eval": [
+        ("model_path", "--model", REQUIRED), ("dataset", "--dataset", None),
+        ("data_path", "--data", None),
+    ],
+}
+CHOICES = {
+    "--gate": ["rx", "ry", "rz"],
+    "--metric": ["literal-real", "phase-invariant"],
+    "--mode": ["fused-runs", "per-gate"],
+    "--dataset": ["iris", "digits01"],
+    "--layer-kind": ["bel", "sel"],
+}
+
+
+def test_every_command_keeps_its_parameters_in_order():
+    # the manifest lists a command's flags in this order, under these spellings
+    got, choices = {}, {}
+    for name, command in main.commands.items():
+        got[name] = []
+        for p in command.params:
+            (flag,) = p.opts
+            got[name].append((p.name, flag, REQUIRED if p.required else p.default))
+            if isinstance(p.type, click.Choice):
+                assert choices.setdefault(flag, list(p.type.choices)) == list(p.type.choices)
+    assert got == PARAMETERS
+    assert choices == CHOICES

@@ -41,6 +41,8 @@ JSON_VALUES = st.recursive(
 )
 SIDECAR_FIELDS = [
     ("format",),
+    ("version",),
+    ("encoding", "kind"),
     ("dataset",),
     ("n_qubits",),
     ("n_classes",),

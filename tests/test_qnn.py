@@ -5,6 +5,7 @@ import hashlib
 import json
 import math
 import re
+import warnings
 from importlib import resources
 
 import numpy as np
@@ -16,6 +17,7 @@ from pqc_forge.circuit import Circuit, Op, metrics
 from pqc_forge.gates import GateKind
 from pqc_forge.greedy import GreedyParams
 from pqc_forge.optimizer import OptimizeConfig, optimize
+from pqc_forge.qnn import training
 from pqc_forge.qnn.training import (
     _loss_and_gradients,
     encode_batch,
@@ -515,6 +517,33 @@ def test_history_records_wall_time_and_gradient_norm(iris):
     assert hist.epochs[0]["grad_norm"] == pytest.approx(want, rel=1e-12)
 
 
+def test_a_diverging_run_is_one_error_and_no_warning(iris):
+    m = qnn.build_model(qnn.LayerSpec(BEL, 1, 4), iris, seed=0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a numpy RuntimeWarning fails the test
+        with pytest.raises(ValueError) as err:
+            qnn.train(m, iris, qnn.TrainConfig(epochs=2, learning_rate=1e300))
+    assert str(err.value) == (
+        "training diverged in epoch 1: the loss or a parameter is no longer finite"
+    )
+
+
+def test_a_non_finite_loss_is_reported_in_its_epoch(iris, monkeypatch):
+    m = qnn.build_model(qnn.LayerSpec(BEL, 1, 4), iris, seed=0)
+    real, calls = training._loss_and_gradients, []
+    per_epoch = math.ceil(len(iris.train_y) / 16)
+
+    def nan_after_the_first_epoch(model, x, y):
+        calls.append(None)
+        loss, grad, readout_grad = real(model, x, y)
+        return (math.nan if len(calls) > per_epoch else loss), grad, readout_grad
+
+    monkeypatch.setattr(training, "_loss_and_gradients", nan_after_the_first_epoch)
+    with pytest.raises(ValueError, match="^training diverged in epoch 2: "):
+        qnn.train(m, iris, qnn.TrainConfig(epochs=3, batch_size=16))
+    assert len(calls) == per_epoch + 1
+
+
 def test_retrain_touches_only_trainable_angles(iris):
     m = qnn.build_model(qnn.LayerSpec(BEL, 2, 4), iris, seed=3)
     m, _ = qnn.train(m, iris, qnn.TrainConfig(epochs=2, seed=3))
@@ -628,6 +657,17 @@ def test_sidecar_without_readout_qubits_loads(tmp_path, iris):
     del meta["readout_qubits"]
     side.write_text(json.dumps(meta))
     assert qnn.load_model(path).readout_qubits == (0, 1, 2)
+
+
+def test_sidecar_without_version_or_encoding_loads(tmp_path, iris):
+    m = qnn.build_model(qnn.LayerSpec(BEL, 1, 4), iris, seed=0)
+    path = tmp_path / "bare.qc"
+    qnn.save_model(m, path)
+    side = qnn.sidecar_path(path)
+    meta = json.loads(side.read_text())
+    del meta["version"], meta["encoding"]
+    side.write_text(json.dumps(meta))
+    assert qnn.evaluate(qnn.load_model(path), iris) == qnn.evaluate(m, iris)
 
 
 def test_readout_shape_is_checked(iris):

@@ -24,12 +24,15 @@ one thread:
   (random unitaries and alphabet words), in stacks of 24 with random
   ``iterations``, ``top_k``, ``restarts`` and int, tuple or None keys:
   every word and ``final_dist.hex()``, so the search kernel is compared
-  directly, not only through the optimize passes.
+  directly, not only through the optimize passes;
+* the ``--help`` text of the ``pqc-forge`` group and of each of its
+  commands, through ``click.testing.CliRunner`` on ``pqc_forge.cli.main``,
+  so a CLI refactor is checked byte for byte.
 
 An item is reduced to a SHA-256 of its values: floats and arrays are
 hashed after adding 0.0, so -0.0 and 0.0 hash alike, and wall times are
 dropped. Prints the first item whose hashes differ and exits 1, or the
-number of value-equal items and exits 0. Stdlib and numpy only.
+number of value-equal items and exits 0. Stdlib, numpy and click only.
 """
 
 from __future__ import annotations
@@ -221,6 +224,20 @@ def items():
                 trained.with_ansatz(out), data, qnn.TrainConfig(RETRAIN_EPOCHS, seed=0)
             )
             yield f"retrain {label} {mode.value}", _trained(retrained, history)
+
+    yield from _help_texts()
+
+
+def _help_texts():
+    """(name, ``--help`` output) of the CLI group and of each command."""
+    from click.testing import CliRunner
+
+    from pqc_forge.cli import main
+
+    runner = CliRunner()
+    yield "--help", runner.invoke(main, ["--help"]).output
+    for name in sorted(main.commands):
+        yield f"{name} --help", runner.invoke(main, [name, "--help"]).output
 
 
 def emit(checkout: Path) -> None:
