@@ -39,7 +39,7 @@ from .gates import GateKind, unitary
 from .greedy import GreedyParams, exhaustive_oracle, transform_batch
 from .matrix import DistanceMetric
 from .optimizer import OptimizeConfig, OptimizeMode, optimize, sweep
-from .qnn.model import check_model_path, sidecar_path
+from .qnn.model import sidecar_path
 
 _TRAIN_DEFAULTS = qnn.TrainConfig()
 _GREEDY_DEFAULTS = GreedyParams()
@@ -234,9 +234,12 @@ def cmd_approx_gate(gate, angle, angle_grid, iters, top_k, metric, seed, restart
             raise click.UsageError("--angle-grid STEP must be > 0")
         if stop < start:
             raise click.UsageError("--angle-grid STOP must be >= START")
+        steps = (stop - start) / step
+        if not np.isfinite(steps):
+            raise click.UsageError(f"--angle-grid (STOP - START) / STEP must be finite, got {steps}")
         # np.arange's angles, cut at STOP: a range that is not a whole
         # number of steps would otherwise overshoot it by up to half a step
-        count = int((stop - start) / step + 1e-9) + 1
+        count = int(steps + 1e-9) + 1
         angles = list(np.arange(start, stop + step / 2, step)[:count])
     else:
         angles = [angle]
@@ -273,11 +276,8 @@ def cmd_metrics(in_path, json_path):
         {"--in": in_path, "its sidecar": _existing_sidecar(in_path)}, {"--json": json_path}
     )
     m = circ.metrics(_load(f"circuit {in_path}", circ.load, in_path))
-    click.echo(f"logical depth:         {m.logical_depth}")
-    click.echo(f"logical gate count:    {m.logical_gate_count}")
-    click.echo(f"decomposed depth:      {m.decomposed_depth}")
-    click.echo(f"decomposed gate count: {m.decomposed_gate_count}")
-    click.echo(f"remaining parameters:  {m.remaining_parameters}")
+    for name, value in m.as_dict().items():
+        click.echo(f"{name.replace('_', ' ') + ':':<23}{value}")
     if json_path:
         _write_json(json_path, {**m.as_dict(), "manifest": _manifest()})
 
@@ -303,8 +303,6 @@ def cmd_optimize(in_path, tolerance, mode, iters, top_k, metric, seed, out_path,
             greedy=GreedyParams(iters, top_k, DistanceMetric(metric), seed),
             mode=OptimizeMode(mode),
         )
-        if has_sidecar:
-            check_model_path(out_path)
     _distinct_files(
         {"--in": in_path, "its sidecar": side},
         {
@@ -393,7 +391,6 @@ def cmd_train(dataset, data_path, layer_kind, layers, qubits, epochs, lr, batch_
         cfg = qnn.TrainConfig(
             epochs=epochs, learning_rate=lr, batch_size=batch_size, seed=seed
         )
-        check_model_path(out_path)
     _distinct_files({"--data": data_path}, _model_writes(out_path))
     ds = _load(f"dataset {dataset}", qnn.load_dataset, dataset, data_path, seed)
     with _usage_errors():
@@ -422,7 +419,6 @@ def cmd_retrain(model_path, dataset, data_path, epochs, lr, batch_size, seed, ou
         cfg = qnn.TrainConfig(
             epochs=epochs, learning_rate=lr, batch_size=batch_size, seed=seed
         )
-        check_model_path(out_path)
     _distinct_files(
         {"--model": model_path, "its sidecar": sidecar_path(model_path), "--data": data_path},
         _model_writes(out_path),

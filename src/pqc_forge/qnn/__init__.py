@@ -17,7 +17,6 @@ from .training import (
     accuracy,
     evaluate,
     loss_and_gradient,
-    predict,
     retrain,
     train,
 )
@@ -36,7 +35,6 @@ __all__ = [
     "load_dataset",
     "load_model",
     "loss_and_gradient",
-    "predict",
     "retrain",
     "save_model",
     "sidecar_path",

@@ -25,8 +25,8 @@ from pathlib import Path
 
 import numpy as np
 
-DATASET_NAMES = ("iris", "digits01")
 FEATURE_COUNTS = {"iris": 4, "digits01": 10}
+DATASET_NAMES = tuple(FEATURE_COUNTS)
 TRAIN_FRACTION = 0.8
 
 

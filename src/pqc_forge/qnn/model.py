@@ -106,9 +106,7 @@ def build_ansatz(spec: LayerSpec, seed: int = 0) -> Circuit:
 class Model:
     ansatz: Circuit
     n_classes: int
-    feature_count: int
-    layer_kind: str
-    layers: int
+    spec: LayerSpec
     lo: np.ndarray  # normalization bounds, copied from the training dataset
     hi: np.ndarray
     dataset_name: str
@@ -137,6 +135,10 @@ class Model:
         return self.ansatz.n_qubits
 
     @property
+    def feature_count(self) -> int:
+        return len(self.lo)
+
+    @property
     def readout_qubits(self) -> tuple[int, ...]:
         return tuple(range(self.n_classes))
 
@@ -156,9 +158,7 @@ def build_model(spec: LayerSpec, dataset: Dataset, seed: int = 0) -> Model:
     return Model(
         ansatz=build_ansatz(spec, seed),
         n_classes=dataset.n_classes,
-        feature_count=dataset.n_features,
-        layer_kind=spec.kind.value,
-        layers=spec.layers,
+        spec=spec,
         lo=dataset.lo.copy(),
         hi=dataset.hi.copy(),
         dataset_name=dataset.name,
@@ -195,7 +195,7 @@ def save_model(model: Model, path, extra: dict | None = None) -> None:
         "readout_bias": model.readout_bias.tolist(),
         "encoding": {"kind": ENCODING_KIND},
         "normalization": {"lo": model.lo.tolist(), "hi": model.hi.tolist()},
-        "layer": {"kind": model.layer_kind, "layers": model.layers},
+        "layer": {"kind": model.spec.kind.value, "layers": model.spec.layers},
         "seed": model.seed,
         "split_seed": model.split_seed,
     }
@@ -219,13 +219,13 @@ def load_model(path) -> Model:
     """Read a circuit file plus sidecar back into a Model.
 
     Raises ValueError when the sidecar lacks a key, holds a value of the
-    wrong type, counts more than ``MAX_QUBITS`` qubits or fewer than one
-    class or feature, holds a negative seed, disagrees with the circuit's
-    qubit count, its own class count or its feature count, names readout
-    qubits other than ``0 … n_classes−1``, a ``version`` other than 1
-    or 2 or an ``encoding.kind`` other than ``cyclic-rx``, or holds a
-    non-finite normalization bound, a hi bound below its lo or a
-    non-finite readout weight. A sidecar without ``readout_qubits``,
+    wrong type, a ``layer`` and ``n_qubits`` that ``LayerSpec`` rejects,
+    fewer than one class or feature or a negative seed, disagrees with
+    the circuit's qubit count, its own class count or its feature count,
+    names readout qubits other than ``0 … n_classes−1``, a ``version``
+    other than 1 or 2 or an ``encoding.kind`` other than ``cyclic-rx``,
+    or holds a non-finite normalization bound, a hi bound below its lo or
+    a non-finite readout weight. A sidecar without ``readout_qubits``,
     ``version`` or ``encoding`` loads.
     """
     path = Path(path)
@@ -260,10 +260,10 @@ def load_model(path) -> Model:
                 ("split_seed", meta.get("split_seed", 0)),
             )
         )
-        if n_qubits > MAX_QUBITS:
-            raise ValueError(
-                f"{side} has a malformed entry: n_qubits must be <= {MAX_QUBITS}, got {n_qubits}"
-            )
+        try:
+            spec = LayerSpec(LayerKind(meta["layer"]["kind"]), layers, n_qubits)
+        except ValueError as exc:
+            raise ValueError(f"{side} has a malformed entry: {exc}") from None
         if n_qubits != ansatz.n_qubits:
             raise ValueError(f"{side} says {n_qubits} qubits, the circuit has {ansatz.n_qubits}")
         if n_classes > n_qubits:
@@ -286,9 +286,7 @@ def load_model(path) -> Model:
         model = Model(
             ansatz=ansatz,
             n_classes=n_classes,
-            feature_count=feature_count,
-            layer_kind=meta["layer"]["kind"],
-            layers=layers,
+            spec=spec,
             lo=np.asarray(meta["normalization"]["lo"], dtype=float),
             hi=np.asarray(meta["normalization"]["hi"], dtype=float),
             dataset_name=meta["dataset"],
@@ -304,10 +302,8 @@ def load_model(path) -> Model:
         raise ValueError(f"{side} has a malformed entry: {exc}") from None
     for name in ("lo", "hi"):
         bounds = getattr(model, name)
-        if bounds.shape != (model.feature_count,):
-            raise ValueError(
-                f"{side} has {bounds.size} {name} bounds for {model.feature_count} features"
-            )
+        if bounds.shape != (feature_count,):
+            raise ValueError(f"{side} has {bounds.size} {name} bounds for {feature_count} features")
         if not np.all(np.isfinite(bounds)):
             raise ValueError(f"{side} has a non-finite {name} bound")
     if np.any(model.hi < model.lo):

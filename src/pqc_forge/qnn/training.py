@@ -191,15 +191,10 @@ def softmax(z: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=-1, keepdims=True)
 
 
-def predict(model: Model, x: np.ndarray) -> np.ndarray:
-    """Class ids for a batch of feature rows."""
-    return np.argmax(logits_batch(model, x), axis=1)
-
-
 def accuracy(model: Model, x: np.ndarray, y: np.ndarray) -> float:
     if len(y) == 0:
         return float("nan")
-    return float(np.mean(predict(model, x) == y))
+    return float(np.mean(np.argmax(logits_batch(model, x), axis=1) == y))
 
 
 def _cross_entropy(probs: np.ndarray, y: np.ndarray) -> float:

@@ -87,6 +87,11 @@ def test_approx_gate_usage_errors(runner):
             "Invalid value for '--angle-grid': must be finite, got (0.0, 1.0, nan)",
         ),
         (["--angle-grid", "1", "0", "0.5"], "--angle-grid STOP must be >= START"),
+        # grids whose point count overflows a float
+        *(
+            (["--angle-grid", *grid], "--angle-grid (STOP - START) / STEP must be finite, got inf")
+            for grid in (("0", "1e308", "1e-308"), ("0", "1", "1e-320"), ("-1e308", "1e308", "1e308"))
+        ),
     ]:
         result = runner.invoke(main, ["approx-gate", "--gate", "rx", *flags])
         assert result.exit_code == 2
@@ -249,7 +254,7 @@ def test_train_eval_optimize_retrain_pipeline(runner, tmp_path):
 
 def json_out_error(result, out):
     assert result.exit_code == 2
-    assert f"model path {out} ends in .json" in result.output
+    assert f"--out's sidecar {out} and --out {out} are the same file" in result.output
     assert "Traceback" not in result.output
 
 
@@ -469,6 +474,22 @@ def test_sweep_dataset_without_sidecar_fails(runner, tmp_path):
             lambda meta: meta["encoding"].update(kind="angle-ry"),
             'has a malformed entry: encoding.kind must be "cyclic-rx", got "angle-ry"',
         ),
+        (
+            lambda meta: meta["layer"].update(kind="zzz"),
+            "has a malformed entry: 'zzz' is not a valid LayerKind",
+        ),
+        (
+            lambda meta: meta["layer"].update(kind=5),
+            "has a malformed entry: 5 is not a valid LayerKind",
+        ),
+        (
+            lambda meta: meta["layer"].update(layers=0),
+            "has a malformed entry: layers must be >= 1, got 0",
+        ),
+        (
+            lambda meta: meta["layer"].update(layers=-3),
+            "has a malformed entry: layers must be >= 1, got -3",
+        ),
     ],
     ids=[
         "missing-key", "qubit-count", "class-count", "bounds-length", "bounds-non-finite",
@@ -476,6 +497,7 @@ def test_sweep_dataset_without_sidecar_fails(runner, tmp_path):
         "no-features", "no-classes", "float-qubits", "string-classes", "float-seed",
         "bool-features", "readout-qubits", "negative-split-seed", "negative-seed",
         "too-many-qubits", "unknown-version", "float-version", "unknown-encoding",
+        "layer-kind-unknown", "layer-kind-number", "layers-zero", "layers-negative",
     ],
 )
 def test_eval_rejects_bad_sidecar(runner, tmp_path, edit, message):

@@ -273,9 +273,7 @@ def test_forward_identity_ansatz_symmetric(iris):
     m = qnn.Model(
         ansatz=Circuit(2),
         n_classes=2,
-        feature_count=4,
-        layer_kind="bel",
-        layers=0,
+        spec=qnn.LayerSpec(BEL, 1, 2),
         lo=iris.lo,
         hi=iris.hi,
         dataset_name="iris",
@@ -619,18 +617,20 @@ def test_angle_wrapping_keeps_values_in_ir_bounds():
 
 
 def test_model_save_load_round_trip(tmp_path, iris):
-    m = qnn.build_model(qnn.LayerSpec(BEL, 2, 4), iris, seed=4)
-    m, _ = qnn.train(m, iris, qnn.TrainConfig(epochs=1, seed=4))
-    path = tmp_path / "model.qc"
-    qnn.save_model(m, path)
-    loaded = qnn.load_model(path)
-    assert loaded.ansatz == m.ansatz
-    assert loaded.n_classes == m.n_classes
-    assert loaded.feature_count == m.feature_count
-    assert np.allclose(loaded.lo, m.lo) and np.allclose(loaded.hi, m.hi)
-    assert np.array_equal(loaded.readout_scale, m.readout_scale)
-    assert np.array_equal(loaded.readout_bias, m.readout_bias)
-    assert qnn.evaluate(loaded, iris) == qnn.evaluate(m, iris)
+    for kind, layers, n in [(BEL, 2, 4), (SEL, 3, 5)]:
+        m = qnn.build_model(qnn.LayerSpec(kind, layers, n), iris, seed=4)
+        m, _ = qnn.train(m, iris, qnn.TrainConfig(epochs=1, seed=4))
+        path = tmp_path / f"{kind.value}.qc"
+        qnn.save_model(m, path)
+        loaded = qnn.load_model(path)
+        assert loaded.ansatz == m.ansatz
+        assert loaded.spec == m.spec
+        assert loaded.n_classes == m.n_classes
+        assert loaded.feature_count == m.feature_count
+        assert np.allclose(loaded.lo, m.lo) and np.allclose(loaded.hi, m.hi)
+        assert np.array_equal(loaded.readout_scale, m.readout_scale)
+        assert np.array_equal(loaded.readout_bias, m.readout_bias)
+        assert qnn.evaluate(loaded, iris) == qnn.evaluate(m, iris)
 
 
 def test_version_1_sidecar_loads_with_identity_readout(tmp_path, iris):

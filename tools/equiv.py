@@ -14,9 +14,12 @@ one thread:
 * per model (BEL and SEL on 2-10 qubits, seed 0, Iris seed 0): the
   encoded states, the test-split logits, and loss, angle gradient and
   readout gradient of a 16-row batch;
-* per trained model (BEL(5,8) and SEL(5,8)): 3 training epochs,
-  then both optimize modes at tolerance 0.05 (serialized circuit and
-  ``report.as_dict()``), then 2 retraining epochs of each result;
+* per trained model (BEL(5,8) and SEL(5,8)): 3 training epochs; the
+  circuit and sidecar text ``save_model`` writes, with a fixed
+  ``extra``, and again after a ``load_model`` → ``save_model`` round
+  trip; the stdout of the ``metrics`` and ``eval`` commands on the saved
+  model; then both optimize modes at tolerance 0.05 (serialized circuit
+  and ``report.as_dict()``), then 2 retraining epochs of each result;
 * the ``json.dumps`` text of both ``metrics`` lists and of every optimize
   report, as the CLI writes it: the value items above cannot see a key
   order or a tuple that replaced a list.
@@ -43,6 +46,7 @@ import json
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -50,6 +54,7 @@ import numpy as np
 TRAIN_EPOCHS, RETRAIN_EPOCHS, BATCH, TOLERANCE = 3, 2, 16, 0.05
 SHAPES = (("bel", 2, 4), ("sel", 2, 4), ("sel", 3, 5), ("bel", 5, 8), ("sel", 5, 8), ("sel", 3, 10))
 TRAINED = (("bel", 5, 8), ("sel", 5, 8))
+SAVE_EXTRA = {"manifest": {"command": "equiv", "seed": 0}}
 
 
 def _feed(h, value) -> None:
@@ -93,6 +98,28 @@ def _trained(model, history) -> dict:
         "bias": model.readout_bias,
         "history": _history(history),
     }
+
+
+def _saved(model, path: Path) -> dict:
+    """Circuit and sidecar text of ``model`` saved to ``path``, then of the
+    model loaded back and saved again."""
+    from pqc_forge import qnn
+
+    texts = {}
+    for step in ("saved", "round trip"):
+        qnn.save_model(model, path, extra=SAVE_EXTRA)
+        texts[step] = {"circuit": path.read_text(), "sidecar": qnn.sidecar_path(path).read_text()}
+        model = qnn.load_model(path)
+    return texts
+
+
+def _cli_stdout(*args) -> dict:
+    from click.testing import CliRunner
+
+    from pqc_forge.cli import main
+
+    result = CliRunner().invoke(main, list(args))
+    return {"exit_code": result.exit_code, "output": result.output}
 
 
 def _random_circuits(rng):
@@ -168,8 +195,9 @@ def _searches(rng) -> list:
     return out
 
 
-def items():
-    """(name, value) of every compared item, in a fixed order."""
+def items(tmp: Path):
+    """(name, value) of every compared item, in a fixed order; saved
+    models go to the directory ``tmp``."""
     from pqc_forge import optimizer, qnn, sim
     from pqc_forge.circuit import metrics, serialize
     from pqc_forge.greedy import GreedyParams
@@ -213,6 +241,10 @@ def items():
             models[kind, layers, n], data, qnn.TrainConfig(TRAIN_EPOCHS, seed=0)
         )
         yield f"train {label}", _trained(trained, history)
+        path = tmp / f"{kind}{layers}_{n}.qc"
+        yield f"save {label}", _saved(trained, path)
+        yield f"metrics {label} stdout", _cli_stdout("metrics", "--in", str(path))
+        yield f"eval {label} stdout", _cli_stdout("eval", "--model", str(path))
         for mode in OptimizeMode:
             cfg = OptimizeConfig(TOLERANCE, GreedyParams(seed=0), mode)
             out, report = optimizer.optimize(trained.ansatz, cfg)
@@ -243,8 +275,9 @@ def _help_texts():
 def emit(checkout: Path) -> None:
     """Print one JSON line per item: its name and digest."""
     sys.path.insert(0, str(checkout / "src"))
-    for name, value in items():
-        print(json.dumps({"item": name, "digest": digest(value)}), flush=True)
+    with tempfile.TemporaryDirectory(prefix="equiv-") as tmp:
+        for name, value in items(Path(tmp)):
+            print(json.dumps({"item": name, "digest": digest(value)}), flush=True)
 
 
 def collect(checkout: Path) -> list[dict]:
